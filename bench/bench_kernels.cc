@@ -10,7 +10,7 @@
 
 #include "src/core/decorrelation.h"
 #include "src/core/distillation.h"
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 #include "src/core/local_trainer.h"
 #include "src/core/trainer.h"
 #include "src/data/dataset.h"
@@ -450,7 +450,7 @@ void BM_FederatedRound(benchmark::State& state) {
           &client, server.table(0), {&server.theta(0)}, tasks, opt);
       uploaded_rows += up.sparse ? up.v_delta_sparse.num_rows()
                                  : up.v_delta.rows();
-      server.Accumulate(tasks, up);
+      server.UploadDelta(tasks, up);
     }
     server.FinishRound();
   }
@@ -474,12 +474,12 @@ BENCHMARK(BM_FederatedRound)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(2.0);
 
-// One streaming round against the sharded server (arg 0 = shard count,
+// One streaming round against the server (arg 0 = shard count,
 // S ∈ {1, 8}): 256 power-law clients build sparse MF-SGD deltas against
-// the live table and merge through ServerApi. S=1 is the legacy-apply
-// baseline; S=8 adds the range-routing and per-shard buffer overhead the
-// scale-out pays per round — bench_sharding measures the same loop
-// end-to-end at 1M clients.
+// the live table and merge through ServerApi. S=1 is the single item range
+// every experiment runs by default; S=8 adds the range-routing and
+// per-shard buffer overhead the scale-out pays per round — bench_sharding
+// measures the same loop end-to-end at 1M clients.
 void BM_ShardedRound(benchmark::State& state) {
   const size_t shards = static_cast<size_t>(state.range(0));
   HeteroServer::Options so;

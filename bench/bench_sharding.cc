@@ -4,7 +4,7 @@
 //
 // For each S in {1, 2, 4, 8} the bench streams `--users` power-law clients
 // (default 1M — nothing is materialized per user) through the round loop
-// against a `ShardedServer` with S item-range shards, reporting round
+// against a `HeteroServer` with S item-range shards, reporting round
 // throughput, upload bytes/round, the per-shard upload balance under the
 // Zipf-head item skew, and process peak RSS. Every S run replays the same
 // seeds, and the final tables are checked bit-identical to the S=1 run —

@@ -76,8 +76,8 @@ class ServerApi;
 
 /// Persists a trained server's public parameters — every slot's item
 /// embedding table and preference FFN plus identifying metadata — to
-/// `path`. Works for any ServerApi implementation (single-table or
-/// sharded); the format is shard-count independent.
+/// `path`. Works at any shard count; the format is shard-count
+/// independent.
 Status SaveServerCheckpoint(const std::string& path, const ServerApi& server,
                             const std::string& base_model_name);
 

@@ -157,12 +157,12 @@ struct ExperimentConfig {
   /// tolerance pinned by tests/core/backend_equivalence_test.cc.
   ComputeBackend compute_backend = ComputeBackend::kFp64;
 
-  /// Item-range parameter-server shards (docs/SYNC.md "Sharding").
-  /// 0 (default): the single-table HeteroServer — every prior result is
-  /// bit-identical. S >= 1: the ShardedServer with S shards; S=1 is
-  /// bit-identical to the single table, and because padded aggregation is
-  /// row-independent every S reproduces the same tables bit-for-bit (the
-  /// shard count changes memory layout and per-shard accounting, not
+  /// Item-range parameter-server shards (docs/SYNC.md "Sharding"). The
+  /// server splits the catalogue into max(1, server_shards) ranges, so 0
+  /// (default) and 1 both mean one range; at most the catalogue size
+  /// (ExperimentRunner::Create rejects more). Because padded aggregation
+  /// is row-independent every S reproduces the same tables bit-for-bit
+  /// (the shard count changes memory layout and per-shard accounting, not
   /// arithmetic — pinned by tests/core/sharding_equivalence_test.cc).
   /// Participates in the resume fingerprint.
   size_t server_shards = 0;

@@ -2,22 +2,24 @@
 //
 // Everything outside the server — `Trainer`, `SyncService`, the async
 // aggregator, admission control, checkpointing, telemetry, benches — talks
-// to this interface, never to a concrete server class. Two implementations
-// exist: the single-table `HeteroServer` (src/core/hetero_server.h) and the
-// item-range-sharded `ShardedServer` (src/fed/shard/sharded_server.h).
-// `MakeServer` (sharded_server.h) picks between them from the config.
+// to this interface, never to a concrete server class. One implementation
+// exists: the item-range-sharded `HeteroServer`
+// (src/fed/shard/sharded_server.h), built by `MakeServer` from the config.
+// The interface stays because callers can wrap it — the benchmark's
+// `TracedServer` (perfbench/replay.cc) forwards every call and times the
+// mutating ones.
 //
 // Contract highlights (pinned by tests/core/sharding_equivalence_test.cc):
 //   - Round protocol: BeginRound → UploadDelta* → FinishRound, or the
 //     async ApplyUpdate primitive; Distill between rounds. Identical call
-//     sequences on any implementation with the same Options must produce
-//     bit-identical tables, thetas and version stamps.
+//     sequences with the same Options must produce bit-identical tables,
+//     thetas and version stamps at every shard count.
 //   - versions() exposes the delta-sync `VersionView`; every mutation of a
 //     row's bytes stamps it (over-stamping is safe, under-stamping is not).
 //   - Snapshot()/RestoreSnapshot() round-trips the full mutable state in a
 //     shard-count-independent layout (whole-catalogue tables, raw stamp
-//     arrays), so checkpoints written by one implementation restore into
-//     any other with the same geometry.
+//     arrays), so checkpoints written at one shard count restore at any
+//     other with the same geometry.
 #ifndef HETEFEDREC_CORE_SERVER_API_H_
 #define HETEFEDREC_CORE_SERVER_API_H_
 
@@ -63,7 +65,7 @@ class ServerApi {
   virtual size_t SlotParamCount(size_t slot) const = 0;
 
   // ---- Sharding topology ----------------------------------------------
-  /// Number of item-range shards (1 for the single-table server).
+  /// Number of item-range shards (at least 1).
   virtual size_t num_shards() const = 0;
   /// Shard owning item row `row`.
   virtual size_t shard_of_row(size_t row) const = 0;
@@ -117,7 +119,7 @@ class ServerApi {
   /// Captures the full mutable state (tables, thetas, raw version stamps)
   /// in the shard-count-independent `ServerSnapshot` layout.
   virtual ServerSnapshot Snapshot() const = 0;
-  /// Restores a snapshot captured by any implementation with the same
+  /// Restores a snapshot captured at any shard count with the same
   /// geometry (slots, widths, num_items). Checks shapes.
   virtual void RestoreSnapshot(ServerSnapshot snapshot) = 0;
 };

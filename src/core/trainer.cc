@@ -346,9 +346,8 @@ class FederatedRun {
     server_opts.aggregation = cfg_.aggregation;
     server_opts.shared_aggregation = setup_.shared_aggregation;
     server_opts.seed = root_.Fork(1).Next();
-    // server_shards == 0 keeps the single-table HeteroServer; any S >= 1
-    // builds the item-range ShardedServer. Either way the trainer only
-    // sees ServerApi from here on.
+    // One item range for server_shards 0 or 1, S ranges otherwise; the
+    // trainer only sees ServerApi from here on.
     server_ = MakeServer(server_opts, cfg_.server_shards);
 
     clients_.resize(dataset_.num_users());
@@ -1710,6 +1709,13 @@ StatusOr<std::unique_ptr<ExperimentRunner>> ExperimentRunner::Create(
   auto ds = Dataset::FromInteractions(interactions, data_cfg->num_users,
                                       data_cfg->num_items, split);
   if (!ds.ok()) return ds.status();
+  // Every item-range shard owns at least one row.
+  if (config.server_shards > ds->num_items()) {
+    return Status::InvalidArgument(
+        "server_shards (" + std::to_string(config.server_shards) +
+        ") exceeds the item catalogue size (" +
+        std::to_string(ds->num_items()) + ")");
+  }
   auto groups = AssignGroups(*ds, config.group_fractions);
   if (!groups.ok()) return groups.status();
   return std::unique_ptr<ExperimentRunner>(new ExperimentRunner(

@@ -7,22 +7,22 @@
 
 namespace hetefedrec {
 
-ShardedServer::ShardedServer(const Options& options)
-    : aggregation_(options.base.aggregation),
-      shared_aggregation_(options.base.shared_aggregation),
+HeteroServer::HeteroServer(const Options& base, size_t num_shards)
+    : aggregation_(base.aggregation),
+      shared_aggregation_(base.shared_aggregation),
       view_(this) {
-  const HeteroServer::Options& base = options.base;
   HFR_CHECK(!base.widths.empty());
   HFR_CHECK_GT(base.num_items, 0u);
-  HFR_CHECK_GT(options.num_shards, 0u);
-  HFR_CHECK_LE(options.num_shards, base.num_items);
+  HFR_CHECK_GT(num_shards, 0u);
+  HFR_CHECK_LE(num_shards, base.num_items);
   for (size_t s = 1; s < base.widths.size(); ++s) {
     HFR_CHECK_LT(base.widths[s - 1], base.widths[s]);
   }
   num_items_ = base.num_items;
 
-  // Identical draw sequence to HeteroServer's constructor: the widest
-  // table first, then one Xavier init per slot's Θ. Same seed, same bits.
+  // Initialize the widest table, then share prefixes downwards so Eq. 10's
+  // invariant holds from t = 0; then one Xavier init per slot's Θ. The
+  // draw sequence does not depend on the shard count.
   Rng rng(base.seed);
   const size_t max_width = base.widths.back();
   Matrix widest(base.num_items, max_width);
@@ -34,7 +34,7 @@ ShardedServer::ShardedServer(const Options& options)
     thetas_.push_back(std::move(theta));
   }
 
-  const size_t S = options.num_shards;
+  const size_t S = num_shards;
   shards_.resize(S);
   shard_starts_.reserve(S);
   for (size_t i = 0; i < S; ++i) {
@@ -60,19 +60,19 @@ ShardedServer::ShardedServer(const Options& options)
   touched_mask_.assign(base.num_items, 0);
 }
 
-size_t ShardedServer::shard_of_row(size_t row) const {
+size_t HeteroServer::shard_of_row(size_t row) const {
   HFR_CHECK_LT(row, num_items_);
   const auto it =
       std::upper_bound(shard_starts_.begin(), shard_starts_.end(), row);
   return static_cast<size_t>(it - shard_starts_.begin()) - 1;
 }
 
-size_t ShardedServer::SlotParamCount(size_t slot) const {
+size_t HeteroServer::SlotParamCount(size_t slot) const {
   HFR_CHECK_LT(slot, tables_.size());
   return tables_[slot].size() + thetas_[slot].ParamCount();
 }
 
-void ShardedServer::MarkTouched(uint32_t row, Shard* shard) {
+void HeteroServer::MarkTouched(uint32_t row, Shard* shard) {
   HFR_CHECK_LT(row, touched_mask_.size());
   if (!touched_mask_[row]) {
     touched_mask_[row] = 1;
@@ -80,9 +80,10 @@ void ShardedServer::MarkTouched(uint32_t row, Shard* shard) {
   }
 }
 
-void ShardedServer::BeginRound() {
-  // Zero only what the previous round dirtied, exactly like HeteroServer —
-  // per shard after an all-sparse round, everything after a dense round.
+void HeteroServer::BeginRound() {
+  // Zero only what the previous round dirtied: per shard after an
+  // all-sparse round, everything after a round with a dense update (or the
+  // first round, where the constructor already zero-initialized).
   for (Shard& sh : shards_) {
     if (round_has_dense_) {
       sh.v_agg.SetZero();
@@ -111,9 +112,9 @@ void ShardedServer::BeginRound() {
   round_open_ = true;
 }
 
-void ShardedServer::UploadDelta(const std::vector<LocalTaskSpec>& tasks,
-                                const LocalUpdateResult& update,
-                                double weight) {
+void HeteroServer::UploadDelta(const std::vector<LocalTaskSpec>& tasks,
+                               const LocalUpdateResult& update,
+                               double weight) {
   HFR_CHECK(round_open_);
   HFR_CHECK(!tasks.empty());
   HFR_CHECK_GE(weight, 0.0);
@@ -121,8 +122,8 @@ void ShardedServer::UploadDelta(const std::vector<LocalTaskSpec>& tasks,
       update.sparse ? update.v_delta_sparse.width : update.v_delta.cols();
   HFR_CHECK_EQ(tasks.back().width, client_width);
 
-  // Route each delta row to its shard's buffer. The scatter is the same
-  // per-row Axpy HeteroServer performs into its monolithic buffer.
+  // Eq. 7-8: zero-pad to the widest slot and sum (or, clustered, sum into
+  // the client's slot buffer), routing each delta row to its shard.
   const size_t slot = tasks.back().slot;
   if (!shared_aggregation_) {
     HFR_CHECK_LT(slot, tables_.size());
@@ -170,7 +171,7 @@ void ShardedServer::UploadDelta(const std::vector<LocalTaskSpec>& tasks,
   }
 }
 
-void ShardedServer::FinishRound() {
+void HeteroServer::FinishRound() {
   HFR_PROFILE("apply");
   HFR_CHECK(round_open_);
   round_open_ = false;
@@ -178,10 +179,15 @@ void ShardedServer::FinishRound() {
   const bool all_rows = round_has_dense_;
 
   if (shared_aggregation_) {
-    // Deterministic cross-shard merge order: for every (slot, segment)
-    // pair, shards apply in ascending shard id, each replaying its touched
-    // rows in upload order. Per-row arithmetic is identical to
-    // HeteroServer's apply_row, so the result is bit-identical for any S.
+    // Eq. 8-9: every slot applies the leading-column slice of the padded
+    // aggregate. Under kMean/kDataWeighted each *width segment* is
+    // normalized by the total weight of clients wide enough to have
+    // updated it — the natural extension of FedAvg to padded aggregation.
+    // Segment `seg` spans the columns [width(seg-1), width(seg)), whose
+    // accumulated weight is segment_weight_[seg]. For every (slot,
+    // segment) pair shards apply in ascending shard id, each replaying its
+    // touched rows in upload order; the per-row arithmetic does not depend
+    // on the shard count, so neither does the result.
     for (size_t s = 0; s < tables_.size(); ++s) {
       size_t col0 = 0;
       for (size_t seg = 0; seg <= s; ++seg) {
@@ -231,7 +237,7 @@ void ShardedServer::FinishRound() {
     }
   }
 
-  // Θ aggregation is global — identical to HeteroServer.
+  // Eq. 15: Θ slots aggregate across every client that trained them.
   for (size_t s = 0; s < thetas_.size(); ++s) {
     if (theta_weight_[s] == 0.0) continue;
     const double scale = aggregation_ == AggregationMode::kSum
@@ -266,22 +272,22 @@ void ShardedServer::FinishRound() {
   }
 }
 
-void ShardedServer::ApplyUpdate(const std::vector<LocalTaskSpec>& tasks,
-                                const LocalUpdateResult& update,
-                                double scale) {
+void HeteroServer::ApplyUpdate(const std::vector<LocalTaskSpec>& tasks,
+                               const LocalUpdateResult& update,
+                               double scale) {
   HFR_CHECK(!round_open_);
   HFR_CHECK_GE(scale, 0.0);
   BeginRound();
   UploadDelta(tasks, update, scale);
-  // Force sum semantics for the single accumulated update (see
-  // HeteroServer::ApplyUpdate).
+  // Force sum semantics for the single accumulated update: under kMean the
+  // weight would normalize itself away (scale/scale = 1).
   const AggregationMode saved = aggregation_;
   aggregation_ = AggregationMode::kSum;
   FinishRound();
   aggregation_ = saved;
 }
 
-double ShardedServer::Distill(const DistillationOptions& options, Rng* rng) {
+double HeteroServer::Distill(const DistillationOptions& options, Rng* rng) {
   HFR_PROFILE("distill");
   if (tables_.size() < 2) return 0.0;
   std::vector<Matrix*> ptrs;
@@ -289,6 +295,9 @@ double ShardedServer::Distill(const DistillationOptions& options, Rng* rng) {
   for (auto& t : tables_) ptrs.push_back(&t);
   std::vector<ItemId> sampled;
   const double loss = EnsembleDistill(ptrs, options, rng, &sampled);
+  // RESKD dirties the Vkd rows of *every* slot — including rows outside any
+  // client's touched set — so their versions must advance or replicas would
+  // serve stale bytes.
   for (size_t s = 0; s < tables_.size(); ++s) {
     for (ItemId i : sampled) {
       Shard& sh = shards_[shard_of_row(static_cast<size_t>(i))];
@@ -298,22 +307,23 @@ double ShardedServer::Distill(const DistillationOptions& options, Rng* rng) {
   return loss;
 }
 
-void ShardedServer::StampRows(size_t slot,
-                              const std::vector<uint32_t>& rows) {
+void HeteroServer::StampRows(size_t slot, const std::vector<uint32_t>& rows) {
   for (uint32_t r : rows) {
     Shard& sh = shards_[shard_of_row(r)];
     sh.versions.Stamp(slot, static_cast<uint32_t>(r - sh.lo));
   }
 }
 
-AdmissionDecision ShardedServer::Admit(
+AdmissionDecision HeteroServer::Admit(
     const std::vector<LocalTaskSpec>& tasks, LocalUpdateResult* update) {
   HFR_CHECK(admission_ != nullptr);
   HFR_CHECK(!tasks.empty());
+  // The last task is the client's own width — the slot whose accepted-norm
+  // window this update is comparable with.
   return admission_->Admit(tasks.back().slot, update);
 }
 
-ServerSnapshot ShardedServer::Snapshot() const {
+ServerSnapshot HeteroServer::Snapshot() const {
   ServerSnapshot snap;
   snap.tables = tables_;
   snap.thetas = thetas_;
@@ -335,7 +345,7 @@ ServerSnapshot ShardedServer::Snapshot() const {
   return snap;
 }
 
-void ShardedServer::RestoreSnapshot(ServerSnapshot snapshot) {
+void HeteroServer::RestoreSnapshot(ServerSnapshot snapshot) {
   HFR_CHECK(!round_open_);
   HFR_CHECK_EQ(snapshot.tables.size(), tables_.size());
   HFR_CHECK_EQ(snapshot.thetas.size(), thetas_.size());
@@ -361,11 +371,8 @@ void ShardedServer::RestoreSnapshot(ServerSnapshot snapshot) {
 
 std::unique_ptr<ServerApi> MakeServer(const HeteroServer::Options& options,
                                       size_t server_shards) {
-  if (server_shards == 0) return std::make_unique<HeteroServer>(options);
-  ShardedServer::Options opts;
-  opts.base = options;
-  opts.num_shards = server_shards;
-  return std::make_unique<ShardedServer>(opts);
+  return std::make_unique<HeteroServer>(options,
+                                        std::max<size_t>(1, server_shards));
 }
 
 }  // namespace hetefedrec

@@ -5,7 +5,9 @@
 // stamps rows as it mutates them — `HeteroServer::FinishRound` stamps the
 // rows it applied aggregates to, `HeteroServer::Distill` stamps the rows
 // RESKD perturbed — and `SyncService` compares stamps against each client
-// replica to decide which subscribed rows must be re-shipped.
+// replica to decide which subscribed rows must be re-shipped. The server
+// keeps one table per item-range shard, indexed by local row, and exposes
+// them through one `VersionView`.
 //
 // Invariants (asserted by tests/fed/sync_test.cc):
 //   1. Monotonicity: Version(slot, row) never decreases.
@@ -32,8 +34,8 @@ namespace hetefedrec {
 ///     version async staleness is measured against.
 ///   - `Version(slot, row)`: the last round in which (slot, row) could have
 ///     changed, monotone per row.
-/// `VersionedTable` is the single-table implementation; the sharded server
-/// exposes a view that routes each row to its shard's table.
+/// `VersionedTable` holds one shard's stamps; the server exposes a view
+/// that routes each row to its shard's table.
 class VersionView {
  public:
   virtual ~VersionView() = default;

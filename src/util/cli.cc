@@ -114,9 +114,9 @@ void RegisterExperimentFlags(CommandLine* cli) {
                "wire scalar width for byte accounting: auto | fp64 | fp32 | "
                "fp16 (auto = fp64, or fp32 when --compute_backend is fp32*)");
   cli->AddFlag("server_shards", "0",
-               "item-range parameter-server shards (0 = single-table "
-               "server; any S is bit-identical — docs/SYNC.md "
-               "\"Sharding\")");
+               "item-range parameter-server shards (0 and 1 both mean one "
+               "range; at most the item count; any S is bit-identical — "
+               "docs/SYNC.md \"Sharding\")");
   cli->AddFlag("net_bandwidth", "1.25e6",
                "median client bandwidth, bytes/second");
   cli->AddFlag("net_bandwidth_sigma", "0",

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 #include "src/core/trainer.h"
 
 namespace hetefedrec {
@@ -41,7 +41,7 @@ TEST(AggregationModesTest, SingleClientSumEqualsMean) {
   std::vector<LocalTaskSpec> tasks = {{0, 2}, {1, 4}};
   for (HeteroServer* s : {&sum_server, &mean_server}) {
     s->BeginRound();
-    s->Accumulate(tasks, MakeUpdate(*s, tasks, 0.75));
+    s->UploadDelta(tasks, MakeUpdate(*s, tasks, 0.75));
     s->FinishRound();
   }
   for (size_t slot = 0; slot < 2; ++slot) {
@@ -60,7 +60,7 @@ TEST(AggregationModesTest, SumScalesLinearlyWithClientCount) {
     std::vector<LocalTaskSpec> tasks = {{0, 2}, {1, 4}};
     server.BeginRound();
     for (int c = 0; c < n; ++c) {
-      server.Accumulate(tasks, MakeUpdate(server, tasks, 0.5));
+      server.UploadDelta(tasks, MakeUpdate(server, tasks, 0.5));
     }
     server.FinishRound();
     return server.table(1)(0, 0) - before(0, 0);
@@ -76,7 +76,7 @@ TEST(AggregationModesTest, MeanInvariantToClientCount) {
     std::vector<LocalTaskSpec> tasks = {{0, 2}, {1, 4}};
     server.BeginRound();
     for (int c = 0; c < n; ++c) {
-      server.Accumulate(tasks, MakeUpdate(server, tasks, 0.5));
+      server.UploadDelta(tasks, MakeUpdate(server, tasks, 0.5));
     }
     server.FinishRound();
     return server.table(1)(0, 0) - before(0, 0);
@@ -111,8 +111,8 @@ TEST(AggregationModesTest, DataWeightedMeanFollowsWeights) {
   Matrix before = server.table(1);
   std::vector<LocalTaskSpec> tasks = {{0, 2}, {1, 4}};
   server.BeginRound();
-  server.Accumulate(tasks, MakeUpdate(server, tasks, 1.0), 3.0);
-  server.Accumulate(tasks, MakeUpdate(server, tasks, -1.0), 1.0);
+  server.UploadDelta(tasks, MakeUpdate(server, tasks, 1.0), 3.0);
+  server.UploadDelta(tasks, MakeUpdate(server, tasks, -1.0), 1.0);
   server.FinishRound();
   EXPECT_NEAR(server.table(1)(0, 0) - before(0, 0), 0.5, 1e-12);
 }
@@ -142,8 +142,8 @@ TEST(AggregationModesTest, ModesDivergeWithMultipleClients) {
   std::vector<LocalTaskSpec> tasks = {{0, 2}, {1, 4}};
   for (HeteroServer* s : {&sum_server, &mean_server}) {
     s->BeginRound();
-    s->Accumulate(tasks, MakeUpdate(*s, tasks, 1.0));
-    s->Accumulate(tasks, MakeUpdate(*s, tasks, 1.0));
+    s->UploadDelta(tasks, MakeUpdate(*s, tasks, 1.0));
+    s->UploadDelta(tasks, MakeUpdate(*s, tasks, 1.0));
     s->FinishRound();
   }
   EXPECT_NE(sum_server.table(1)(0, 0), mean_server.table(1)(0, 0));

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 #include "src/math/init.h"
 
 namespace hetefedrec {

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 #include "src/core/local_trainer.h"
 #include "src/core/trainer.h"
 #include "src/fed/sync/sync_service.h"

@@ -1,4 +1,4 @@
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 
 #include <gtest/gtest.h>
 
@@ -70,8 +70,8 @@ TEST(HeteroServerTest, PaddedSumAggregation) {
   server.BeginRound();
   auto small_tasks = TasksUpTo(0, opt.widths);
   auto large_tasks = TasksUpTo(2, opt.widths);
-  server.Accumulate(small_tasks, MakeUpdate(2, 1.0, small_tasks, server));
-  server.Accumulate(large_tasks, MakeUpdate(8, 0.5, large_tasks, server));
+  server.UploadDelta(small_tasks, MakeUpdate(2, 1.0, small_tasks, server));
+  server.UploadDelta(large_tasks, MakeUpdate(8, 0.5, large_tasks, server));
   server.FinishRound();
 
   // Columns 0..1: small (1.0) + large (0.5); columns 2..7: large only.
@@ -94,9 +94,9 @@ TEST(HeteroServerTest, PaddedMeanAggregationNormalizesPerSegment) {
   auto large_tasks = TasksUpTo(2, opt.widths);
   // Three small clients (delta 1.0) + one large (delta 0.5).
   for (int i = 0; i < 3; ++i) {
-    server.Accumulate(small_tasks, MakeUpdate(2, 1.0, small_tasks, server));
+    server.UploadDelta(small_tasks, MakeUpdate(2, 1.0, small_tasks, server));
   }
-  server.Accumulate(large_tasks, MakeUpdate(8, 0.5, large_tasks, server));
+  server.UploadDelta(large_tasks, MakeUpdate(8, 0.5, large_tasks, server));
   server.FinishRound();
 
   // Segment [0,2): (3*1.0 + 0.5)/4 contributors = 0.875.
@@ -118,7 +118,7 @@ TEST(HeteroServerTest, Eq10InvariantUnderPaddedAggregation) {
       auto tasks = TasksUpTo(group, opt.widths);
       auto update = MakeUpdate(opt.widths[group], rng.Uniform(-1, 1), tasks,
                                server);
-      server.Accumulate(tasks, update);
+      server.UploadDelta(tasks, update);
     }
     server.FinishRound();
     for (size_t r = 0; r < kItems; ++r) {
@@ -141,7 +141,7 @@ TEST(HeteroServerTest, ClusteredAggregationIsolatesSlots) {
 
   server.BeginRound();
   std::vector<LocalTaskSpec> small_tasks = {{0, 2}};
-  server.Accumulate(small_tasks, MakeUpdate(2, 1.0, small_tasks, server));
+  server.UploadDelta(small_tasks, MakeUpdate(2, 1.0, small_tasks, server));
   server.FinishRound();
 
   EXPECT_NEAR(server.table(0)(0, 0) - before_s(0, 0), 1.0, 1e-12);
@@ -165,7 +165,7 @@ TEST(HeteroServerTest, ThetaAggregatedPerSlot) {
   for (auto& d : update.theta_deltas) {
     d.weight(0)(0, 0) = 0.25;  // same delta into each Θ slot
   }
-  server.Accumulate(tasks, update);
+  server.UploadDelta(tasks, update);
   server.FinishRound();
 
   EXPECT_NEAR(server.theta(0).weight(0)(0, 0) - theta_s_before, 0.25, 1e-12);

@@ -5,7 +5,7 @@
 
 #include <tuple>
 
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 
 namespace hetefedrec {
 namespace {
@@ -57,8 +57,8 @@ TEST_P(ServerPropertyTest, PrefixInvariantSurvivesRandomRounds) {
     for (int c = 0; c < n; ++c) {
       size_t group = rng.UniformInt(widths.size());
       auto tasks = Tasks(group, widths);
-      server.Accumulate(tasks,
-                        Update(server, tasks, rng.Uniform(-2.0, 2.0)));
+      server.UploadDelta(tasks,
+                         Update(server, tasks, rng.Uniform(-2.0, 2.0)));
     }
     server.FinishRound();
     // Eq. 10: every smaller table equals the prefix of every larger one.
@@ -86,7 +86,7 @@ TEST_P(ServerPropertyTest, ZeroUpdatesLeaveParametersUnchanged) {
   server.BeginRound();
   for (size_t group = 0; group < widths.size(); ++group) {
     auto tasks = Tasks(group, widths);
-    server.Accumulate(tasks, Update(server, tasks, 0.0));
+    server.UploadDelta(tasks, Update(server, tasks, 0.0));
   }
   server.FinishRound();
   for (size_t s = 0; s < server.num_slots(); ++s) {
@@ -106,7 +106,7 @@ TEST_P(ServerPropertyTest, AggregationIsOrderInvariant) {
     server.BeginRound();
     for (auto [group, value] : clients) {
       auto tasks = Tasks(group, widths);
-      server.Accumulate(tasks, Update(server, tasks, value));
+      server.UploadDelta(tasks, Update(server, tasks, value));
     }
     server.FinishRound();
     return server.table(server.num_slots() - 1);

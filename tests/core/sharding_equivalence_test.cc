@@ -1,14 +1,15 @@
-// Sharded parameter server, end to end: the S=1 ShardedServer is
-// bit-identical to the single-table HeteroServer for every method and
-// base model under both schedules; higher shard counts are seed- and
-// thread-deterministic AND still bit-identical to S=1 (padded aggregation
-// is row-independent, so the shard count changes memory layout and
-// per-shard accounting, never arithmetic — docs/SYNC.md "Sharding"); and
-// a sharded run resumes from a kill bit-identical to an uninterrupted
-// one, including across a shard-count change (Snapshot exports the same
-// single-table layout for every S).
+// Sharded parameter server, end to end: every method and base model,
+// under both schedules, reproduces the golden digests recorded from the
+// retired single-table server; higher shard counts reproduce the same
+// goldens (padded aggregation is row-independent, so the shard count
+// changes memory layout and per-shard accounting, never arithmetic —
+// docs/SYNC.md "Sharding"), are seed- and thread-deterministic; and a
+// sharded run resumes from a kill bit-identical to an uninterrupted one,
+// including across a shard-count change (Snapshot exports the same
+// whole-catalogue layout for every S).
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -45,58 +46,137 @@ void ExpectSameRun(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.simulated_seconds, b.simulated_seconds);
 }
 
-// The tentpole contract, strongest form: S=1 sharded vs the legacy
-// single-table server, every method, both base models, synchronous
-// schedule — bit-identical metrics, comm totals and virtual clock.
-TEST(ShardingEquivalence, SingleShardMatchesLegacyAllMethodsSync) {
-  for (BaseModel model : {BaseModel::kNcf, BaseModel::kLightGcn}) {
-    for (Method method : kAllMethods) {
-      ExperimentConfig legacy = SmallConfig();
-      legacy.base_model = model;
-      legacy.server_shards = 0;  // HeteroServer
-      ExperimentConfig sharded = legacy;
-      sharded.server_shards = 1;  // ShardedServer, one shard
+/// RunDigest of SmallConfig() per (model, method, schedule), recorded from
+/// the retired single-table server (`server_shards=0` while it was a
+/// separate class; its output is what every shard count must reproduce).
+/// Standalone has no server, so it has no async entry.
+struct Golden {
+  BaseModel model;
+  Method method;
+  bool async;
+  uint64_t digest;
+};
 
-      SCOPED_TRACE(BaseModelName(model) + " / " + MethodName(method));
-      ExpectSameRun(RunWith(legacy, method), RunWith(sharded, method));
-    }
+constexpr Golden kGoldens[] = {
+    // Synchronous rounds.
+    {BaseModel::kNcf, Method::kAllSmall, /*async=*/false,
+     0xbd37e90bbf102d1eull},
+    {BaseModel::kNcf, Method::kAllLarge, /*async=*/false,
+     0xe817e806bdb9c81dull},
+    {BaseModel::kNcf, Method::kAllLargeExclusive, /*async=*/false,
+     0x8fa9510318826a13ull},
+    {BaseModel::kNcf, Method::kStandalone, /*async=*/false,
+     0x1717ac9661f71d60ull},
+    {BaseModel::kNcf, Method::kClusteredFedRec, /*async=*/false,
+     0x579af8ec6ea756efull},
+    {BaseModel::kNcf, Method::kDirectlyAggregate, /*async=*/false,
+     0x4a67bb27d94de120ull},
+    {BaseModel::kNcf, Method::kHeteFedRec, /*async=*/false,
+     0x3b64afe94362b7bcull},
+    {BaseModel::kLightGcn, Method::kAllSmall, /*async=*/false,
+     0x8a30835797a3d42eull},
+    {BaseModel::kLightGcn, Method::kAllLarge, /*async=*/false,
+     0xd94793ba8666b72full},
+    {BaseModel::kLightGcn, Method::kAllLargeExclusive, /*async=*/false,
+     0xba8524b6d998fbd6ull},
+    {BaseModel::kLightGcn, Method::kStandalone, /*async=*/false,
+     0x01ec2ccee764b6daull},
+    {BaseModel::kLightGcn, Method::kClusteredFedRec, /*async=*/false,
+     0x1f4b01f5bbc281f1ull},
+    {BaseModel::kLightGcn, Method::kDirectlyAggregate, /*async=*/false,
+     0xe974238332f149f4ull},
+    {BaseModel::kLightGcn, Method::kHeteFedRec, /*async=*/false,
+     0x0006745bb3c4cb7cull},
+    // Merge-on-arrival.
+    {BaseModel::kNcf, Method::kAllSmall, /*async=*/true, 0xdeade134fa28180full},
+    {BaseModel::kNcf, Method::kAllLarge, /*async=*/true, 0x54c4ddcffb76b56dull},
+    {BaseModel::kNcf, Method::kAllLargeExclusive, /*async=*/true,
+     0x46beec6a7a732291ull},
+    {BaseModel::kNcf, Method::kClusteredFedRec, /*async=*/true,
+     0x1d926ffeb1eb29fdull},
+    {BaseModel::kNcf, Method::kDirectlyAggregate, /*async=*/true,
+     0xded55e56a126dc9cull},
+    {BaseModel::kNcf, Method::kHeteFedRec, /*async=*/true,
+     0x6b16d636636d44c8ull},
+    {BaseModel::kLightGcn, Method::kAllSmall, /*async=*/true,
+     0x698b84cda02f1fd4ull},
+    {BaseModel::kLightGcn, Method::kAllLarge, /*async=*/true,
+     0x88c26f61ccaff0d0ull},
+    {BaseModel::kLightGcn, Method::kAllLargeExclusive, /*async=*/true,
+     0x190fc261e36ad9dcull},
+    {BaseModel::kLightGcn, Method::kClusteredFedRec, /*async=*/true,
+     0x74317867d30e04f1ull},
+    {BaseModel::kLightGcn, Method::kDirectlyAggregate, /*async=*/true,
+     0xd49c79fc81ecc66full},
+    {BaseModel::kLightGcn, Method::kHeteFedRec, /*async=*/true,
+     0x4736931ac123e059ull},
+};
+
+const char* ScheduleName(bool async) { return async ? "async" : "sync"; }
+
+// Runs SmallConfig() for (model, method, schedule) at `shards` and checks
+// the result against its recorded golden.
+void ExpectGolden(const Golden& golden, size_t shards) {
+  ExperimentConfig cfg = SmallConfig();
+  cfg.base_model = golden.model;
+  cfg.async_mode = golden.async;
+  cfg.server_shards = shards;
+  const ExperimentResult run = RunWith(cfg, golden.method);
+  const uint64_t digest = RunDigest(run);
+  if (digest != golden.digest) {
+    char hex[64];
+    std::snprintf(hex, sizeof(hex), "got 0x%016" PRIx64 ", want 0x%016" PRIx64,
+                  digest, golden.digest);
+    ADD_FAILURE() << MethodName(golden.method) << " / "
+                  << BaseModelName(golden.model) << " / "
+                  << ScheduleName(golden.async) << " at S=" << shards
+                  << ": run digest mismatch, " << hex << "\n"
+                  << RunDigestFields(run);
   }
+}
+
+const Golden& FindGolden(BaseModel model, Method method, bool async) {
+  for (const Golden& g : kGoldens) {
+    if (g.model == model && g.method == method && g.async == async) return g;
+  }
+  ADD_FAILURE() << "no golden for " << MethodName(method);
+  return kGoldens[0];
+}
+
+// The strongest form of the contract: S=1 reproduces the retired
+// single-table server for every method and both base models under the
+// synchronous schedule — bit-identical metrics, comm totals and virtual
+// clock.
+TEST(ShardingEquivalence, SingleShardMatchesLegacyAllMethodsSync) {
+  size_t checked = 0;
+  for (const Golden& g : kGoldens) {
+    if (g.async) continue;
+    ExpectGolden(g, 1);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 14u);
 }
 
 // The same bar under merge-on-arrival: async exercises ApplyUpdate (the
 // per-arrival staleness-weighted path) and the async Distill cadence
 // instead of the round barrier.
 TEST(ShardingEquivalence, SingleShardMatchesLegacyAllMethodsAsync) {
-  for (BaseModel model : {BaseModel::kNcf, BaseModel::kLightGcn}) {
-    for (Method method : kAllMethods) {
-      if (method == Method::kStandalone) continue;  // no server to shard
-      ExperimentConfig legacy = SmallConfig();
-      legacy.base_model = model;
-      legacy.async_mode = true;
-      legacy.server_shards = 0;
-      ExperimentConfig sharded = legacy;
-      sharded.server_shards = 1;
-
-      SCOPED_TRACE(BaseModelName(model) + " / " + MethodName(method));
-      ExpectSameRun(RunWith(legacy, method), RunWith(sharded, method));
-    }
+  size_t checked = 0;
+  for (const Golden& g : kGoldens) {
+    if (!g.async) continue;
+    ExpectGolden(g, 1);
+    ++checked;
   }
+  EXPECT_EQ(checked, 12u);
 }
 
-// Beyond the S=1 contract: because per-row accumulation and application
-// are row-independent and shards merge in ascending item-range order,
-// ANY shard count reproduces the legacy tables bit-for-bit.
+// Beyond S=1: because per-row accumulation and application are
+// row-independent and shards merge in ascending item-range order, ANY
+// shard count reproduces the golden bit-for-bit.
 TEST(ShardingEquivalence, HigherShardCountsMatchLegacy) {
-  for (size_t shards : {size_t{2}, size_t{4}}) {
-    ExperimentConfig legacy = SmallConfig();
-    legacy.server_shards = 0;
-    ExperimentConfig sharded = legacy;
-    sharded.server_shards = shards;
-
-    SCOPED_TRACE("S=" + std::to_string(shards));
-    ExpectSameRun(RunWith(legacy, Method::kHeteFedRec),
-                  RunWith(sharded, Method::kHeteFedRec));
-  }
+  const Golden& golden =
+      FindGolden(BaseModel::kNcf, Method::kHeteFedRec, /*async=*/false);
+  for (size_t shards : {size_t{2}, size_t{4}}) ExpectGolden(golden, shards);
 }
 
 // Seed determinism at S in {2, 4}: two identical sharded runs agree

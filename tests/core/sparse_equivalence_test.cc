@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "src/core/checkpoint.h"
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 #include "src/core/local_trainer.h"
 #include "src/core/trainer.h"
 #include "src/math/init.h"
@@ -100,9 +100,9 @@ void RunRounds(FedFixture* f, const Dataset& ds, bool use_sparse,
       LocalUpdateResult up = f->trainer.Train(
           &f->clients[u], f->server.table(slot), thetas, tasks, opt);
       EXPECT_EQ(up.sparse, use_sparse);
-      f->server.Accumulate(tasks, up, agg == AggregationMode::kDataWeighted
-                                          ? 10.0
-                                          : 1.0);
+      f->server.UploadDelta(tasks, up, agg == AggregationMode::kDataWeighted
+                                           ? 10.0
+                                           : 1.0);
     }
     f->server.FinishRound();
   }
@@ -159,7 +159,7 @@ TEST(SparseEquivalenceRounds, MixedDenseAndSparseClientsAgree) {
       opt.use_sparse = mix && (u % 2 == 0);
       LocalUpdateResult up = f->trainer.Train(
           &f->clients[u], f->server.table(slot), thetas, tasks, opt);
-      f->server.Accumulate(tasks, up);
+      f->server.UploadDelta(tasks, up);
     }
     f->server.FinishRound();
   };

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "src/core/checkpoint.h"
 
@@ -37,6 +38,33 @@ TEST(ExperimentRunnerTest, CreateValidatesConfig) {
   bad = TinyConfig();
   bad.dataset = "imdb";
   EXPECT_FALSE(ExperimentRunner::Create(bad).ok());
+}
+
+// Every item-range shard owns at least one row, so a shard count above the
+// catalogue size is a config error Create reports, not an abort when the
+// run builds its server. The catalogue size itself is still accepted.
+TEST(ExperimentRunnerTest, CreateRejectsMoreShardsThanItems) {
+  ExperimentConfig cfg = TinyConfig();
+  auto probe = ExperimentRunner::Create(cfg);
+  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+  const size_t items = (*probe)->dataset().num_items();
+
+  cfg.server_shards = items + 1;
+  auto too_many = ExperimentRunner::Create(cfg);
+  ASSERT_FALSE(too_many.ok());
+  EXPECT_EQ(too_many.status().code(), StatusCode::kInvalidArgument);
+  const std::string& msg = too_many.status().message();
+  EXPECT_NE(msg.find("(" + std::to_string(items + 1) + ")"),
+            std::string::npos) << msg;
+  EXPECT_NE(msg.find("(" + std::to_string(items) + ")"), std::string::npos)
+      << msg;
+
+  cfg.server_shards = items;
+  cfg.global_epochs = 1;
+  auto at_limit = ExperimentRunner::Create(cfg);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  const ExperimentResult r = (*at_limit)->Run(Method::kHeteFedRec);
+  EXPECT_TRUE(std::isfinite(r.final_eval.overall.ndcg));
 }
 
 TEST(ExperimentRunnerTest, GroupSizesFollowFractions) {

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "src/core/hetero_server.h"
+#include "src/fed/shard/sharded_server.h"
 
 namespace hetefedrec {
 namespace {
@@ -87,7 +87,7 @@ TEST(AsyncAggregatorTest, ZeroGapMergeEqualsSynchronousMerge) {
   LocalUpdateResult update = MakeUpdate(8, 0.25, tasks, sync_server);
 
   sync_server.BeginRound();
-  sync_server.Accumulate(tasks, update);
+  sync_server.UploadDelta(tasks, update);
   sync_server.FinishRound();
 
   AsyncAggregator agg(&async_server, AsyncAggregator::Options{});

@@ -1,6 +1,6 @@
-// ShardedServer unit contract: range geometry and row routing, the
-// direct bit-identity against HeteroServer for sparse and dense uploads
-// (any shard count, both aggregation layouts), lockstep version stamping
+// Item-range sharded server unit contract: range geometry and row
+// routing, bit-identity of every shard count against S=1 for sparse, dense
+// and mixed rounds (both aggregation layouts), lockstep version stamping
 // through the routing view, per-shard upload accounting, StampRows, and
 // the Snapshot/RestoreSnapshot round-trip including shard-count
 // portability of a snapshot.
@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
-
-#include "src/core/hetero_server.h"
 
 namespace hetefedrec {
 namespace {
@@ -30,12 +33,14 @@ HeteroServer::Options BaseOptions(bool shared = true,
   return opt;
 }
 
-ShardedServer MakeSharded(size_t shards, bool shared = true,
-                          AggregationMode mode = AggregationMode::kMean) {
-  ShardedServer::Options opt;
-  opt.base = BaseOptions(shared, mode);
-  opt.num_shards = shards;
-  return ShardedServer(opt);
+// The version view points back at the server, so copies are compile-time
+// errors rather than aliases of the original's versions.
+static_assert(!std::is_copy_constructible_v<HeteroServer>);
+static_assert(!std::is_move_constructible_v<HeteroServer>);
+
+HeteroServer MakeSharded(size_t shards, bool shared = true,
+                         AggregationMode mode = AggregationMode::kMean) {
+  return HeteroServer(BaseOptions(shared, mode), shards);
 }
 
 std::vector<LocalTaskSpec> TasksUpTo(size_t group,
@@ -45,15 +50,26 @@ std::vector<LocalTaskSpec> TasksUpTo(size_t group,
   return tasks;
 }
 
+// Θ deltas of `value` in every weight, one per task.
+std::vector<FeedForwardNet> ThetaDeltas(double value,
+                                        const std::vector<LocalTaskSpec>& tasks,
+                                        const ServerApi& server) {
+  std::vector<FeedForwardNet> deltas;
+  for (const auto& task : tasks) {
+    FeedForwardNet d = FeedForwardNet::ZerosLike(server.theta(task.slot));
+    for (size_t l = 0; l < d.num_layers(); ++l) d.weight(l).Fill(value);
+    deltas.push_back(std::move(d));
+  }
+  return deltas;
+}
+
 LocalUpdateResult DenseUpdate(size_t width, double v_value,
                               const std::vector<LocalTaskSpec>& tasks,
                               const ServerApi& server) {
   LocalUpdateResult r;
   r.v_delta = Matrix(kItems, width);
   r.v_delta.Fill(v_value);
-  for (const auto& task : tasks) {
-    r.theta_deltas.push_back(FeedForwardNet::ZerosLike(server.theta(task.slot)));
-  }
+  r.theta_deltas = ThetaDeltas(v_value, tasks, server);
   return r;
 }
 
@@ -67,9 +83,7 @@ LocalUpdateResult SparseUpdate(size_t width,
   r.v_delta_sparse.width = width;
   r.v_delta_sparse.rows = rows;
   r.v_delta_sparse.data.assign(rows.size() * width, v_value);
-  for (const auto& task : tasks) {
-    r.theta_deltas.push_back(FeedForwardNet::ZerosLike(server.theta(task.slot)));
-  }
+  r.theta_deltas = ThetaDeltas(v_value, tasks, server);
   return r;
 }
 
@@ -80,9 +94,29 @@ void ExpectSameTables(const ServerApi& a, const ServerApi& b) {
   }
 }
 
+// Tables, Θ weights and biases, and every row's version stamp.
+void ExpectSameState(const ServerApi& a, const ServerApi& b) {
+  ExpectSameTables(a, b);
+  EXPECT_EQ(a.versions().round(), b.versions().round());
+  for (size_t s = 0; s < a.num_slots(); ++s) {
+    const FeedForwardNet& ta = a.theta(s);
+    const FeedForwardNet& tb = b.theta(s);
+    ASSERT_EQ(ta.num_layers(), tb.num_layers());
+    for (size_t l = 0; l < ta.num_layers(); ++l) {
+      EXPECT_EQ(ta.weight(l).data(), tb.weight(l).data()) << "slot " << s;
+      EXPECT_EQ(ta.bias(l).data(), tb.bias(l).data()) << "slot " << s;
+    }
+    for (size_t row = 0; row < a.num_items(); ++row) {
+      EXPECT_EQ(a.versions().Version(s, row), b.versions().Version(s, row))
+          << "slot " << s << " row " << row;
+    }
+  }
+}
+
 TEST(ShardedServerTest, RangesPartitionTheCatalogue) {
-  for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    ShardedServer server = MakeSharded(shards);
+  for (size_t shards : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                        size_t{7}, size_t{8}, kItems}) {
+    HeteroServer server = MakeSharded(shards);
     SCOPED_TRACE("S=" + std::to_string(shards));
     EXPECT_EQ(server.num_shards(), shards);
     size_t covered = 0;
@@ -101,36 +135,46 @@ TEST(ShardedServerTest, RangesPartitionTheCatalogue) {
   }
 }
 
+// Same seed, same RNG draw order at every shard count: tables, Θ and
+// version stamps agree exactly with the single range.
 TEST(ShardedServerTest, InitialStateMatchesHeteroServerBitForBit) {
-  HeteroServer legacy(BaseOptions());
-  for (size_t shards : {size_t{1}, size_t{3}, size_t{8}}) {
-    ShardedServer server = MakeSharded(shards);
+  HeteroServer single = MakeSharded(1);
+  for (size_t shards : {size_t{2}, size_t{3}, size_t{4}, size_t{7}}) {
+    HeteroServer server = MakeSharded(shards);
     SCOPED_TRACE("S=" + std::to_string(shards));
-    ExpectSameTables(legacy, server);
-    for (size_t s = 0; s < legacy.num_slots(); ++s) {
-      // Same seed, same RNG draw order: Θ weights agree exactly too.
-      ServerSnapshot a = legacy.Snapshot();
-      ServerSnapshot b = server.Snapshot();
-      EXPECT_EQ(a.thetas[s].ParamCount(), b.thetas[s].ParamCount());
-    }
+    ExpectSameState(single, server);
   }
 }
 
-// The core arithmetic contract, isolated from the trainer: a mixed round
-// of sparse and dense uploads of every width lands bit-identically on the
-// legacy server and on sharded servers of several counts — shared
+// The core arithmetic contract, isolated from the trainer: a sparse-only
+// round, a dense-only round and a mixed round of every width land
+// bit-identically at S=1 and at several other shard counts — shared
 // (padded) and clustered layouts, mean and sum modes.
 TEST(ShardedServerTest, MixedRoundMatchesLegacyAnyShardCount) {
   for (bool shared : {true, false}) {
     for (AggregationMode mode :
          {AggregationMode::kMean, AggregationMode::kSum}) {
-      HeteroServer legacy(BaseOptions(shared, mode));
-      auto opt = BaseOptions(shared, mode);
-      auto run_round = [&opt](ServerApi* server) {
+      const auto opt = BaseOptions(shared, mode);
+      const auto small = TasksUpTo(0, opt.widths);
+      const auto medium = TasksUpTo(1, opt.widths);
+      const auto large = TasksUpTo(2, opt.widths);
+      auto sparse_round = [&](ServerApi* server) {
         server->BeginRound();
-        auto small = TasksUpTo(0, opt.widths);
-        auto medium = TasksUpTo(1, opt.widths);
-        auto large = TasksUpTo(2, opt.widths);
+        server->UploadDelta(
+            small, SparseUpdate(2, {0, 7, 22}, 1.25, small, *server));
+        server->UploadDelta(
+            large, SparseUpdate(8, {3, 7, 11, 19}, -0.5, large, *server));
+        server->FinishRound();
+      };
+      auto dense_round = [&](ServerApi* server) {
+        server->BeginRound();
+        server->UploadDelta(medium,
+                            DenseUpdate(4, 0.125, medium, *server), 2.0);
+        server->UploadDelta(small, DenseUpdate(2, -0.375, small, *server));
+        server->FinishRound();
+      };
+      auto mixed_round = [&](ServerApi* server) {
+        server->BeginRound();
         server->UploadDelta(
             small, SparseUpdate(2, {0, 7, 22}, 1.25, small, *server));
         server->UploadDelta(
@@ -141,20 +185,34 @@ TEST(ShardedServerTest, MixedRoundMatchesLegacyAnyShardCount) {
             large, SparseUpdate(8, {0, 22}, 0.75, large, *server));
         server->FinishRound();
       };
-      run_round(&legacy);
-      for (size_t shards : {size_t{1}, size_t{2}, size_t{5}}) {
-        ShardedServer server = MakeSharded(shards, shared, mode);
-        run_round(&server);
-        SCOPED_TRACE((shared ? "shared" : "clustered") +
-                     std::string("/S=") + std::to_string(shards));
-        ExpectSameTables(legacy, server);
+      HeteroServer single(opt);
+      std::vector<std::unique_ptr<HeteroServer>> sharded;
+      for (size_t shards : {size_t{2}, size_t{3}, size_t{4}, size_t{7}}) {
+        sharded.push_back(std::make_unique<HeteroServer>(opt, shards));
+      }
+      const std::vector<
+          std::pair<const char*, std::function<void(ServerApi*)>>>
+          rounds = {{"sparse", sparse_round},
+                    {"dense", dense_round},
+                    {"mixed", mixed_round}};
+      for (const auto& [name, round] : rounds) {
+        round(&single);
+        for (const auto& server : sharded) {
+          round(server.get());
+          SCOPED_TRACE((shared ? "shared" : "clustered") +
+                       std::string(mode == AggregationMode::kSum ? "/sum"
+                                                                 : "/mean") +
+                       "/" + name + "/S=" +
+                       std::to_string(server->num_shards()));
+          ExpectSameState(single, *server);
+        }
       }
     }
   }
 }
 
 TEST(ShardedServerTest, VersionsAdvanceInLockstepAcrossShards) {
-  ShardedServer server = MakeSharded(4);
+  HeteroServer server = MakeSharded(4);
   EXPECT_EQ(server.versions().round(), 0u);
   auto large = TasksUpTo(2, BaseOptions().widths);
 
@@ -182,7 +240,7 @@ TEST(ShardedServerTest, VersionsAdvanceInLockstepAcrossShards) {
 }
 
 TEST(ShardedServerTest, PerShardUploadScalarsRouteByRow) {
-  ShardedServer server = MakeSharded(2);
+  HeteroServer server = MakeSharded(2);
   const size_t split = server.shard_row_begin(1);
   auto large = TasksUpTo(2, BaseOptions().widths);
 
@@ -200,7 +258,7 @@ TEST(ShardedServerTest, PerShardUploadScalarsRouteByRow) {
 }
 
 TEST(ShardedServerTest, StampRowsRoutesToOwningShards) {
-  ShardedServer server = MakeSharded(4);
+  HeteroServer server = MakeSharded(4);
   auto large = TasksUpTo(2, BaseOptions().widths);
   server.BeginRound();
   server.UploadDelta(large, SparseUpdate(8, {1}, 0.1, large, server));
@@ -214,11 +272,10 @@ TEST(ShardedServerTest, StampRowsRoutesToOwningShards) {
   EXPECT_EQ(server.versions().Version(1, 11), 0u);  // other slots untouched
 }
 
-// Snapshot exports the single-table layout regardless of the shard count,
-// so a snapshot written at S=4 restores into S=2 (and the legacy server's
-// own snapshot restores into a sharded server).
+// Snapshot exports a whole-catalogue layout regardless of the shard
+// count, so a snapshot written at S=4 restores into S=2.
 TEST(ShardedServerTest, SnapshotRoundTripsAcrossShardCounts) {
-  ShardedServer origin = MakeSharded(4);
+  HeteroServer origin = MakeSharded(4);
   auto large = TasksUpTo(2, BaseOptions().widths);
   origin.BeginRound();
   origin.UploadDelta(large,
@@ -232,7 +289,7 @@ TEST(ShardedServerTest, SnapshotRoundTripsAcrossShardCounts) {
     EXPECT_EQ(slot_versions.size(), kItems);
   }
 
-  ShardedServer other = MakeSharded(2);
+  HeteroServer other = MakeSharded(2);
   other.RestoreSnapshot(origin.Snapshot());
   ExpectSameTables(origin, other);
   EXPECT_EQ(other.versions().round(), 1u);
@@ -255,14 +312,17 @@ TEST(ShardedServerTest, SnapshotRoundTripsAcrossShardCounts) {
   ExpectSameTables(origin, other);
 }
 
+// server_shards 0 and 1 both build the single range; any other count
+// builds that many ranges over the same initial state.
 TEST(ShardedServerTest, MakeServerSelectsImplementation) {
-  auto legacy = MakeServer(BaseOptions(), 0);
-  auto sharded = MakeServer(BaseOptions(), 4);
-  EXPECT_EQ(legacy->num_shards(), 1u);
-  EXPECT_NE(dynamic_cast<HeteroServer*>(legacy.get()), nullptr);
-  EXPECT_EQ(sharded->num_shards(), 4u);
-  EXPECT_NE(dynamic_cast<ShardedServer*>(sharded.get()), nullptr);
-  ExpectSameTables(*legacy, *sharded);
+  auto zero = MakeServer(BaseOptions(), 0);
+  auto one = MakeServer(BaseOptions(), 1);
+  auto four = MakeServer(BaseOptions(), 4);
+  EXPECT_EQ(zero->num_shards(), 1u);
+  EXPECT_EQ(one->num_shards(), 1u);
+  EXPECT_EQ(four->num_shards(), 4u);
+  ExpectSameState(*zero, *one);
+  ExpectSameState(*zero, *four);
 }
 
 }  // namespace
