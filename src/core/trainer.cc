@@ -13,6 +13,7 @@
 #include "src/core/local_trainer.h"
 #include "src/core/run_state.h"
 #include "src/data/synthetic.h"
+#include "src/eval/stream_scores.h"
 #include "src/eval/topk.h"
 #include "src/fed/fault/admission.h"
 #include "src/fed/fault/client_gate.h"
@@ -177,35 +178,10 @@ void ScoreIdsForEval(const Scorer& sc, const Matrix& table,
   }
 }
 
-/// Score blocks fed to the fused top-K sink: per-user state (prefix, pu_)
-/// survives across ScoreRange calls, so scoring block [first, first + bs)
-/// yields the exact per-item logits of one full-span pass while `buf` only
-/// ever holds kEvalStreamBlock scores. Requires a prior BeginUser on `sc`.
-constexpr size_t kEvalStreamBlock = 8 * Scorer::kScoreBlock;
-
-void StreamScoresForEval(const Scorer& sc, const Matrix& table,
-                         const FeedForwardNet& theta, bool use_batched,
-                         std::vector<double>* buf, TopKSelector* sink) {
-  const size_t n = table.rows();
-  buf->resize(std::min(kEvalStreamBlock, n));
-  for (size_t first = 0; first < n; first += kEvalStreamBlock) {
-    const size_t bs = std::min(kEvalStreamBlock, n - first);
-    if (use_batched) {
-      sc.ScoreRange(table, theta, static_cast<ItemId>(first), bs,
-                    buf->data());
-    } else {
-      for (size_t i = 0; i < bs; ++i) {
-        (*buf)[i] = sc.Score(table, theta, static_cast<ItemId>(first + i));
-      }
-    }
-    sink->Push(static_cast<ItemId>(first), buf->data(), bs);
-  }
-}
-
-// fp32-backend overloads: score in float against float casts of the server
-// state, upcasting each block into the evaluator's double contract (the
-// metrics pipeline and top-K sink stay fp64). The thread_local scratch is
-// bounded by kEvalStreamBlock / the candidate-list length per thread.
+// fp32-backend overload: score in float against float casts of the server
+// state, upcasting into the evaluator's double contract (the metrics
+// pipeline stays fp64). The thread_local scratch holds one id list's
+// scores per thread.
 void ScoreIdsForEval(const ScorerF& sc, const MatrixF& table,
                      const FeedForwardNetF& theta,
                      const std::vector<ItemId>& ids, bool use_batched,
@@ -224,27 +200,6 @@ void ScoreIdsForEval(const ScorerF& sc, const MatrixF& table,
   }
   for (size_t i = 0; i < ids.size(); ++i) {
     out[i] = static_cast<double>(tmp[i]);
-  }
-}
-
-void StreamScoresForEval(const ScorerF& sc, const MatrixF& table,
-                         const FeedForwardNetF& theta, bool use_batched,
-                         std::vector<double>* buf, TopKSelector* sink) {
-  thread_local std::vector<float> tmp;
-  const size_t n = table.rows();
-  buf->resize(std::min(kEvalStreamBlock, n));
-  tmp.resize(std::min(kEvalStreamBlock, n));
-  for (size_t first = 0; first < n; first += kEvalStreamBlock) {
-    const size_t bs = std::min(kEvalStreamBlock, n - first);
-    if (use_batched) {
-      sc.ScoreRange(table, theta, static_cast<ItemId>(first), bs, tmp.data());
-    } else {
-      for (size_t i = 0; i < bs; ++i) {
-        tmp[i] = sc.Score(table, theta, static_cast<ItemId>(first + i));
-      }
-    }
-    for (size_t i = 0; i < bs; ++i) (*buf)[i] = static_cast<double>(tmp[i]);
-    sink->Push(static_cast<ItemId>(first), buf->data(), bs);
   }
 }
 

@@ -8,6 +8,12 @@
 //                accumulation order the repo's bit-identity guarantees are
 //                pinned against; all storage of record (server tables,
 //                checkpoints, sync replicas) is double on every backend.
+//                Not scalar-only: evaluation scoring runs the fused fp64
+//                kernel (src/math/kernels_fp64.h) with four
+//                items per AVX2 vector whenever CpuSupportsFp32Simd(),
+//                whatever the backend switch says — separate multiplies
+//                and adds in the scalar order, so the bits are the same
+//                on every CPU.
 //   fp32       — client-side compute in float with the *scalar* fp32
 //                kernels: each inner loop mirrors the SIMD algorithm
 //                lane-for-lane (std::fmaf chains and the same reduction
@@ -46,7 +52,8 @@ std::string ComputeBackendName(ComputeBackend backend);
 
 /// True when this process can run the AVX2+FMA kernels: the CPU reports
 /// both features and the build compiled the SIMD translation unit (i.e.
-/// HFR_DISABLE_AVX2 was off).
+/// HFR_DISABLE_AVX2 was off). The fp64 fused eval kernel dispatches on
+/// this alone; the fp32 kernels also need Fp32SimdEnabled().
 bool CpuSupportsFp32Simd();
 
 /// Process-wide switch consulted by the float kernel entry points: when

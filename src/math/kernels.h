@@ -8,7 +8,7 @@
 // bias-initialized GEMM per layer, one outer-product accumulation per layer
 // on the way back, and a Gram matrix for the distillation relation.
 //
-// Two scalar instantiations exist (src/math/backend.h):
+// Two arithmetic instantiations exist (src/math/backend.h):
 //
 //   T = double — the reference backend. Every per-sample result stays
 //   *bit-identical* to the scalar loops:
@@ -25,6 +25,14 @@
 //   trainer, the distiller and the evaluator all produce the same bits as
 //   the per-sample reference (tests/math/kernels_test.cc and
 //   tests/core/batched_equivalence_test.cc pin this).
+//
+//   fp64 is vectorized too, where the layout allows it without touching
+//   the arithmetic: evaluation of the paper's [in → 8 → 8 → 1] Θ runs the
+//   fused kernel fp64::FusedEvalForwardAvx2 (src/math/kernels_fp64.h) on
+//   CPUs with AVX2 — all three layers in registers, four items in the
+//   lanes of each AVX2 vector — under the same per-target order and zero
+//   skip, so it too produces the scalar loops' bits (docs/PERFORMANCE.md
+//   "Fused fp64 eval kernel").
 //
 //   T = float — the fp32 backend: fused multiply-adds, no exact-zero skip,
 //   and fixed-tree reductions, dispatched at runtime to hand-vectorized

@@ -1,6 +1,7 @@
-// Hand-vectorized AVX2+FMA fp32 kernels (compiled with -mavx2 -mfma; this
-// is the only translation unit with those flags, so nothing here may be
-// called unless runtime dispatch confirmed CPU support).
+// Hand-vectorized AVX2+FMA kernels (compiled with -mavx2 -mfma; this is
+// the only translation unit with those flags, so nothing here may be
+// called unless runtime dispatch confirmed CPU support): the fp32 set and
+// the fp64 fused evaluation kernel.
 //
 // Lockstep contract with kernels_fp32.cc: per output element, the vector
 // code performs the same single-rounding multiply-adds in the same order
@@ -8,13 +9,18 @@
 // (l0+l4, l1+l5, l2+l6, l3+l7) → (s0+s2, s1+s3) → t0+t1 tree. Any change
 // to either file must be mirrored in the other
 // (tests/math/kernels_test.cc pins the bit-identity).
+//
+// The fp64 kernel at the end of the file has the opposite contract: no
+// fused multiply-add anywhere (see its section).
 
 #include "src/math/kernels_fp32.h"
+#include "src/math/kernels_fp64.h"
 
 #ifdef HFR_HAVE_AVX2_TU
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace hetefedrec {
@@ -154,6 +160,133 @@ void AxpyAvx2(float alpha, const float* x, float* y, size_t n) {
 }
 
 }  // namespace fp32
+
+// --- fp64 fused evaluation kernel -------------------------------------------
+//
+// Four rows (items) ride in the four lanes of each vector; the 8 + 8 + 1
+// accumulators of one 4-row block stay in registers through all three
+// layers. Per lane, every step is the scalar loop's: acc + x·w as a
+// separate multiply and add, inputs in ascending order, and the exact-zero
+// skip as a blend that keeps acc in the lanes whose input is 0. A step
+// whose mask is all-clear or all-set does the same arithmetic without the
+// blend (there it is the identity).
+//
+// GCC contracts a*b + c into an FMA under -mfma unless told otherwise, and
+// the intrinsics below are plain vector * and + to it; a fused step rounds
+// once instead of twice and changes the logits' bits. Hence the pragma:
+// this kernel must compile to zero vfmadd instructions.
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+
+namespace fp64 {
+
+namespace {
+
+constexpr size_t kH = kFusedEvalHidden;
+
+// acc[j] + x·w[j] for the kH outputs of one input, in the lanes of `live`.
+inline void MulAddLive(__m256d* acc, __m256d x, const double* w,
+                       __m256d live) {
+  const int lanes = _mm256_movemask_pd(live);
+  if (lanes == 0) return;
+  if (lanes == 0xF) {
+    for (size_t j = 0; j < kH; ++j) {
+      acc[j] = _mm256_add_pd(acc[j], _mm256_mul_pd(x, _mm256_set1_pd(w[j])));
+    }
+    return;
+  }
+  for (size_t j = 0; j < kH; ++j) {
+    const __m256d sum =
+        _mm256_add_pd(acc[j], _mm256_mul_pd(x, _mm256_set1_pd(w[j])));
+    acc[j] = _mm256_blendv_pd(acc[j], sum, live);
+  }
+}
+
+// Layer-0 step for input x (one element of each lane's row): scaled once,
+// as the assembled input is, skipped where the scaled input is exactly zero
+// (x != 0 is unordered-true, so NaN inputs are consumed, as in the loop).
+inline void Layer0Input(__m256d* h0, __m256d x, const double* w, bool scaled,
+                        __m256d scale) {
+  if (scaled) x = _mm256_mul_pd(x, scale);
+  MulAddLive(h0, x, w, _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_NEQ_UQ));
+}
+
+// ReLU then the skip: a lane contributes iff its pre-activation is > 0
+// (ordered — NaN and ±0 become the +0 the skip drops), and where it does,
+// ReLU is the identity, so the pre-activation itself is the input.
+inline __m256d Positive(__m256d v) {
+  return _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ);
+}
+
+}  // namespace
+
+void FusedEvalForwardAvx2(const FusedEvalNet& net, const double* prefix,
+                          const double* x, size_t batch, size_t x_stride,
+                          size_t in_dim, double scale, double* logits) {
+  const bool scaled = scale != 1.0;
+  const __m256d scale4 = _mm256_set1_pd(scale);
+  for (size_t b = 0; b < batch; b += 4) {
+    const size_t rows = std::min<size_t>(4, batch - b);
+    // Lanes past the batch end re-read the block's first row; their
+    // results are never stored.
+    const double* r[4];
+    for (size_t l = 0; l < 4; ++l) {
+      r[l] = x + (b + (l < rows ? l : 0)) * x_stride;
+    }
+
+    __m256d h0[kH];
+    for (size_t j = 0; j < kH; ++j) h0[j] = _mm256_set1_pd(prefix[j]);
+    size_t i = 0;
+    for (; i + 4 <= in_dim; i += 4) {
+      // 4x4 transpose: permute k holds input i + k of the four rows.
+      const __m256d a0 = _mm256_loadu_pd(r[0] + i);
+      const __m256d a1 = _mm256_loadu_pd(r[1] + i);
+      const __m256d a2 = _mm256_loadu_pd(r[2] + i);
+      const __m256d a3 = _mm256_loadu_pd(r[3] + i);
+      const __m256d t0 = _mm256_unpacklo_pd(a0, a1);
+      const __m256d t1 = _mm256_unpackhi_pd(a0, a1);
+      const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
+      const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
+      const double* w = net.w0 + i * kH;
+      Layer0Input(h0, _mm256_permute2f128_pd(t0, t2, 0x20), w, scaled, scale4);
+      Layer0Input(h0, _mm256_permute2f128_pd(t1, t3, 0x20), w + kH, scaled,
+                  scale4);
+      Layer0Input(h0, _mm256_permute2f128_pd(t0, t2, 0x31), w + 2 * kH,
+                  scaled, scale4);
+      Layer0Input(h0, _mm256_permute2f128_pd(t1, t3, 0x31), w + 3 * kH,
+                  scaled, scale4);
+    }
+    for (; i < in_dim; ++i) {
+      Layer0Input(h0, _mm256_set_pd(r[3][i], r[2][i], r[1][i], r[0][i]),
+                  net.w0 + i * kH, scaled, scale4);
+    }
+
+    __m256d h1[kH];
+    for (size_t j = 0; j < kH; ++j) h1[j] = _mm256_set1_pd(net.b1[j]);
+    for (size_t i1 = 0; i1 < kH; ++i1) {
+      MulAddLive(h1, h0[i1], net.w1 + i1 * kH, Positive(h0[i1]));
+    }
+
+    __m256d out = _mm256_set1_pd(net.b2[0]);
+    for (size_t i2 = 0; i2 < kH; ++i2) {
+      const __m256d sum = _mm256_add_pd(
+          out, _mm256_mul_pd(h1[i2], _mm256_set1_pd(net.w2[i2])));
+      out = _mm256_blendv_pd(out, sum, Positive(h1[i2]));
+    }
+    if (rows == 4) {
+      _mm256_storeu_pd(logits + b, out);
+    } else {
+      double tail[4];
+      _mm256_storeu_pd(tail, out);
+      std::copy(tail, tail + rows, logits + b);
+    }
+  }
+}
+
+}  // namespace fp64
+
+#pragma GCC pop_options
+
 }  // namespace hetefedrec
 
 #endif  // HFR_HAVE_AVX2_TU

@@ -3,8 +3,10 @@
 #include <type_traits>
 
 #include "src/math/activations.h"
+#include "src/math/backend.h"
 #include "src/math/init.h"
 #include "src/math/kernels.h"
+#include "src/math/kernels_fp64.h"
 
 namespace hetefedrec {
 
@@ -136,14 +138,42 @@ void FeedForwardNetT<T>::ForwardBatchFromPrefix(const T* prefix,
                                                 const T* suffix, size_t batch,
                                                 size_t suffix_dim,
                                                 size_t suffix_stride,
-                                                T* logits) const {
+                                                T* logits,
+                                                T suffix_scale) const {
   HFR_CHECK(!weights_.empty());
   if (batch == 0) return;
   const MatrixT<T>& w0 = weights_[0];
   HFR_CHECK_LE(suffix_dim, w0.rows());
   const size_t split = w0.rows() - suffix_dim;
+#ifdef HFR_HAVE_AVX2_TU
+  if constexpr (std::is_same_v<T, double>) {
+    constexpr size_t kH = fp64::kFusedEvalHidden;
+    if (weights_.size() == 3 && w0.cols() == kH && weights_[1].cols() == kH &&
+        CpuSupportsFp32Simd()) {
+      const fp64::FusedEvalNet net{w0.data().data() + split * kH,
+                                   weights_[1].data().data(),
+                                   biases_[1].data().data(),
+                                   weights_[2].data().data(),
+                                   biases_[2].data().data()};
+      fp64::FusedEvalForwardAvx2(net, prefix, suffix, batch, suffix_stride,
+                                 suffix_dim, suffix_scale, logits);
+      return;
+    }
+  }
+#endif
   thread_local AlignedVector<T> cur;
   thread_local AlignedVector<T> next;
+  if (suffix_scale != T(1)) {
+    cur.resize(batch * suffix_dim);
+    for (size_t b = 0; b < batch; ++b) {
+      const T* row = suffix + b * suffix_stride;
+      for (size_t i = 0; i < suffix_dim; ++i) {
+        cur[b * suffix_dim + i] = suffix_scale * row[i];
+      }
+    }
+    suffix = cur.data();
+    suffix_stride = suffix_dim;
+  }
   next.resize(batch * w0.cols());
   GemvBatchResume(suffix, batch, suffix_stride, suffix_dim,
                   w0.data().data() + split * w0.cols(), prefix, w0.cols(),

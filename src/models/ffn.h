@@ -86,12 +86,15 @@ class FeedForwardNetT {
   /// input dims: resumes the layer-0 accumulation from `prefix` with each
   /// row's suffix (rows start `suffix_stride` scalars apart — pass an
   /// embedding table stride to score rows in place), then runs the
-  /// remaining layers batched. For T = double bit-identical to
-  /// ForwardBatch on the fully assembled rows. Evaluation only — no
-  /// backward cache.
+  /// remaining layers batched. The suffix inputs are suffix_scale ·
+  /// suffix[b, i]. For T = double bit-identical to ForwardBatch on the
+  /// fully assembled rows (the scaled values, each rounded once); nets of
+  /// the paper's [2w → 8 → 8 → 1] shape run the fused AVX2 kernel
+  /// (src/math/kernels_fp64.h) when CpuSupportsFp32Simd(). Evaluation only
+  /// — no backward cache.
   void ForwardBatchFromPrefix(const T* prefix, const T* suffix, size_t batch,
                               size_t suffix_dim, size_t suffix_stride,
-                              T* logits) const;
+                              T* logits, T suffix_scale = T(1)) const;
 
   /// Accumulates gradients into `grads` (a same-shape net) given
   /// dL/dlogit. If `dx` is non-null, writes dL/dx (length input_dim) —

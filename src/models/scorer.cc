@@ -138,22 +138,51 @@ void ScorerT<S>::ScoreRange(const TableT& item_table,
   HFR_CHECK_EQ(theta.input_dim(), 2 * width_);
   PreparePrefix(theta);
   if constexpr (std::is_same_v<TableT, MatrixT<S>>) {
-    if (model_ == BaseModel::kNcf) {
-      // NCF item halves are the table rows themselves: score the span in
-      // place with the table's row stride — zero assembly.
+    // Dense spans are scored in place with the table's row stride — zero
+    // assembly. NCF item halves are the rows themselves. A LightGCN item
+    // outside N(u) has the half 0.5·(v_j + 0); the in-place pass feeds
+    // 0.5·v_j, which differs only where v_j = -0, an input the fp64 zero
+    // skip drops either way, so its logits are exact. (The fp32 kernels
+    // have no zero skip, so float LightGCN keeps the assembled path.)
+    // Interacted items carry the propagation term: RescoreInteracted
+    // overwrites theirs from the assembled halves.
+    const bool lightgcn = model_ == BaseModel::kLightGcn;
+    if (!lightgcn || std::is_same_v<S, double>) {
       HFR_CHECK_LE(static_cast<size_t>(first) + n, item_table.rows());
+      const S scale = lightgcn ? S(0.5) : S(1);
       for (size_t done = 0; done < n; done += kScoreBlock) {
         const size_t bs = std::min(kScoreBlock, n - done);
         theta.ForwardBatchFromPrefix(
             prefix_.data(), item_table.Row(static_cast<size_t>(first) + done),
-            bs, width_, item_table.cols(), out + done);
+            bs, width_, item_table.cols(), out + done, scale);
       }
+      if (lightgcn) RescoreInteracted(item_table, theta, first, n, out);
       return;
     }
   }
   ScoreBlocks(
       item_table, theta, n,
       [first](size_t k) { return static_cast<ItemId>(first + k); }, out);
+}
+
+template <typename S>
+template <typename TableT>
+void ScorerT<S>::RescoreInteracted(const TableT& item_table,
+                                   const FeedForwardNetT<S>& theta,
+                                   ItemId first, size_t n, S* out) const {
+  // Per-thread scratch rather than members: ScorerT is embedded in the
+  // training loop's state, and growing it slowed fp32 training measurably.
+  thread_local std::vector<ItemId> ids;
+  thread_local std::vector<S> scores;
+  ids.clear();
+  for (ItemId i : *interacted_) {
+    if (i >= first && static_cast<size_t>(i - first) < n) ids.push_back(i);
+  }
+  scores.resize(ids.size());
+  ScoreBlocks(
+      item_table, theta, ids.size(), [](size_t k) { return ids[k]; },
+      scores.data());
+  for (size_t k = 0; k < ids.size(); ++k) out[ids[k] - first] = scores[k];
 }
 
 template <typename S>

@@ -89,6 +89,9 @@ class ScorerT {
   /// `V` must have at least `width` columns. `TableT` is `MatrixT<S>` or
   /// `RowOverlayTableT<S>`. Also fills the user half of the FFN input
   /// scratch once, so per-item scoring rewrites only the item half.
+  /// The scorer keeps a pointer to `interacted`: it must outlive every
+  /// ScoreRange (LightGCN rescores the interacted items of a span) and
+  /// FinishUserBackward call for this user.
   template <typename TableT>
   void BeginUser(const S* user_emb, const TableT& item_table,
                  const std::vector<ItemId>& interacted);
@@ -120,7 +123,8 @@ class ScorerT {
                   const ItemId* ids, size_t n, S* out) const;
 
   /// ScoreBatch over the contiguous item-id span [first, first + n) —
-  /// the full-catalogue evaluation shape.
+  /// the full-catalogue evaluation shape. Reads the `interacted` vector
+  /// passed to BeginUser.
   template <typename TableT>
   void ScoreRange(const TableT& item_table, const FeedForwardNetT<S>& theta,
                   ItemId first, size_t n, S* out) const;
@@ -179,6 +183,14 @@ class ScorerT {
   template <typename TableT, typename IdFn>
   void ScoreBlocks(const TableT& item_table, const FeedForwardNetT<S>& theta,
                    size_t n, IdFn id_of, S* out) const;
+
+  /// After an in-place LightGCN ScoreRange over [first, first + n):
+  /// rescores the user's interacted items inside the span from their
+  /// assembled halves (which carry the propagation term) into `out`.
+  template <typename TableT>
+  void RescoreInteracted(const TableT& item_table,
+                         const FeedForwardNetT<S>& theta, ItemId first,
+                         size_t n, S* out) const;
 
   BaseModel model_;
   size_t width_;

@@ -10,6 +10,7 @@ tests/lint/fixtures/ and asserts, per rule R1-R5:
   - suppressions with reasons silence findings, reasonless suppressions are
     themselves findings and silence nothing;
   - the R3 owned-declaration check applies under src/ but not under tests/;
+  - R5 covers C++ optimize pragmas/attributes as well as CMake flags;
   - baselined findings do not fail the run, and the JSON output reports
     them separately;
   - --list-rules names all five rules.
@@ -77,6 +78,7 @@ def main():
             ("r3_bad.cc", "R3", 2),
             ("r4_bad.cc", "R4", 4),
             ("r5_bad.cmake", "R5", 5),
+            ("r5_bad_pragma.cc", "R5", 7),
         ]
         for name, rule, expected in bad_cases:
             rc, data, err = run_lint([fixture(name)], baseline=bl)
@@ -93,7 +95,7 @@ def main():
 
         # --- good fixtures: clean ----------------------------------------
         good = ["r1_good.cc", "r1_suppressed.cc", "r2_good.cc", "r3_good.cc",
-                "r4_good.cc", "r5_good.cmake"]
+                "r4_good.cc", "r5_good.cmake", "r5_good_pragma.cc"]
         for name in good:
             rc, data, err = run_lint([fixture(name)], baseline=bl)
             findings = data.get("findings", [])

@@ -7,11 +7,17 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "src/math/backend.h"
 #include "src/math/init.h"
 #include "src/math/kernels_fp32.h"
+#include "src/math/kernels_fp64.h"
+#include "src/models/ffn.h"
 #include "src/util/rng.h"
 
 namespace hetefedrec {
@@ -360,6 +366,157 @@ TEST(Fp32DispatchTest, ActivateBackendFallsBackGracefully) {
   EXPECT_EQ(Fp32SimdEnabled(), CpuSupportsFp32Simd());
   ActivateBackend(ComputeBackend::kFp64);
   SetFp32SimdEnabled(saved);
+}
+
+// --- fp64 fused evaluation kernel ------------------------------------------
+// The AVX2 arm, and ForwardBatchFromPrefix which dispatches to it (or runs
+// the per-layer chain without AVX2), must reproduce FeedForwardNet::Forward
+// on the assembled rows [user | scale · x] bit for bit — including the sign
+// of zeros, the exact-zero skip in front of ±Inf weights, and NaN/Inf
+// propagation. A build that contracts the kernel's multiply and add into
+// FMAs fails here.
+
+using fp64::kFusedEvalHidden;
+
+// Scores `batch` rows of `width` inputs, `stride` apart, resumed from
+// `prefix` with inputs scale · x, into `logits`.
+using FusedScoreFn = std::function<void(
+    const FeedForwardNet& net, const double* prefix, const double* x,
+    size_t batch, size_t stride, size_t width, double scale, double* logits)>;
+
+uint64_t Bits(double v) {
+  uint64_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+// [2w → 8 → 8 → 1] with nonzero biases. Layer-0 unit 2 and layer-1 unit 5
+// have zero weights and a ±0 bias, so their pre-activations are exactly 0.
+// With `specials`, ±Inf and NaN weights sit in every layer; suffix input 0
+// meets the +Inf weight, and MakeFusedRows zeroes it in every other row.
+FeedForwardNet MakeFusedNet(size_t width, bool specials) {
+  FeedForwardNet net(2 * width, {kFusedEvalHidden, kFusedEvalHidden});
+  Rng rng(900 + width);
+  net.InitXavier(&rng);
+  for (size_t l = 0; l < net.num_layers(); ++l) {
+    for (double& b : net.bias(l).data()) b = rng.Normal(0.0, 0.2);
+  }
+  for (size_t i = 0; i < 2 * width; ++i) net.weight(0)(i, 2) = 0.0;
+  net.bias(0)(0, 2) = -0.0;
+  for (size_t i = 0; i < kFusedEvalHidden; ++i) net.weight(1)(i, 5) = 0.0;
+  net.bias(1)(0, 5) = 0.0;
+  if (specials) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    net.weight(0)(width, 3) = inf;
+    net.weight(1)(3, 1) = nan;
+    net.weight(2)(6, 0) = -inf;
+  }
+  return net;
+}
+
+// `batch` rows of `width` inputs, `stride` apart, with ±0 sprinkled in.
+std::vector<double> MakeFusedRows(size_t width, size_t batch, size_t stride,
+                                  bool specials) {
+  std::vector<double> x = RandomBlock(batch * stride, 950 + width + batch);
+  for (size_t t = 0; t < x.size(); t += 7) x[t] = 0.0;
+  for (size_t t = 3; t < x.size(); t += 11) x[t] = -0.0;
+  if (specials) {
+    for (size_t b = 0; b < batch; b += 2) x[b * stride] = 0.0;
+  }
+  return x;
+}
+
+// Runs `score` over widths {1,5,8,16,32} × batches {1..9,127,128,1024} ×
+// scale {1,0.5} × plain/special nets and checks every logit's bit pattern.
+void ExpectMatchesForwardBitForBit(const FusedScoreFn& score) {
+  std::vector<size_t> batches = {1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 1024};
+  for (size_t width : {size_t{1}, size_t{5}, size_t{8}, size_t{16},
+                       size_t{32}}) {
+    for (bool specials : {false, true}) {
+      const FeedForwardNet net = MakeFusedNet(width, specials);
+      std::vector<double> user = RandomBlock(width, 970 + width);
+      user[0] = -0.0;
+      std::vector<double> prefix(kFusedEvalHidden);
+      net.ForwardPrefix(user.data(), width, prefix.data());
+      for (size_t batch : batches) {
+        const size_t stride = width + 3;
+        const std::vector<double> x =
+            MakeFusedRows(width, batch, stride, specials);
+        for (double scale : {1.0, 0.5}) {
+          std::vector<double> ref(batch);
+          std::vector<double> row(2 * width);
+          std::copy(user.begin(), user.end(), row.begin());
+          for (size_t b = 0; b < batch; ++b) {
+            for (size_t i = 0; i < width; ++i) {
+              row[width + i] = scale * x[b * stride + i];
+            }
+            ref[b] = net.Forward(row.data(), nullptr);
+          }
+          std::vector<double> got(batch, 42.0);
+          score(net, prefix.data(), x.data(), batch, stride, width, scale,
+                got.data());
+          for (size_t b = 0; b < batch; ++b) {
+            ASSERT_EQ(Bits(got[b]), Bits(ref[b]))
+                << "width=" << width << " batch=" << batch
+                << " scale=" << scale << " specials=" << specials
+                << " b=" << b << " got=" << got[b] << " ref=" << ref[b];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedEvalForwardTest, Avx2ArmMatchesForwardBitForBit) {
+#ifdef HFR_HAVE_AVX2_TU
+  if (!CpuSupportsFp32Simd()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  ExpectMatchesForwardBitForBit([](const FeedForwardNet& net,
+                                   const double* prefix, const double* x,
+                                   size_t batch, size_t stride, size_t width,
+                                   double scale, double* logits) {
+    const fp64::FusedEvalNet view{
+        net.weight(0).data().data() + width * kFusedEvalHidden,
+        net.weight(1).data().data(), net.bias(1).data().data(),
+        net.weight(2).data().data(), net.bias(2).data().data()};
+    fp64::FusedEvalForwardAvx2(view, prefix, x, batch, stride, width, scale,
+                               logits);
+  });
+#else
+  GTEST_SKIP() << "built without the AVX2 translation unit";
+#endif
+}
+
+TEST(FusedEvalForwardTest, ForwardBatchFromPrefixMatchesForwardBitForBit) {
+  ExpectMatchesForwardBitForBit([](const FeedForwardNet& net,
+                                   const double* prefix, const double* x,
+                                   size_t batch, size_t stride, size_t width,
+                                   double scale, double* logits) {
+    net.ForwardBatchFromPrefix(prefix, x, batch, width, stride, logits, scale);
+  });
+}
+
+TEST(FusedEvalForwardTest, SpecialsReachTheLogits) {
+  // Guards the fixture: the ±Inf/NaN weights and the zero-skip rows must
+  // actually shape the outputs, or the bit-for-bit test above proves less.
+  const size_t width = 8, batch = 64, stride = width + 3;
+  const FeedForwardNet net = MakeFusedNet(width, true);
+  const std::vector<double> user = RandomBlock(width, 970 + width);
+  std::vector<double> prefix(kFusedEvalHidden);
+  net.ForwardPrefix(user.data(), width, prefix.data());
+  const std::vector<double> x = MakeFusedRows(width, batch, stride, true);
+  std::vector<double> got(batch);
+  net.ForwardBatchFromPrefix(prefix.data(), x.data(), batch, width, stride,
+                             got.data());
+  size_t finite = 0, infinite = 0, nan = 0;
+  for (double v : got) {
+    if (std::isfinite(v)) ++finite;
+    if (std::isinf(v)) ++infinite;
+    if (std::isnan(v)) ++nan;
+  }
+  EXPECT_GT(finite, 0u);
+  EXPECT_GT(infinite, 0u);
+  EXPECT_GT(nan, 0u);
 }
 
 TEST(AlignedStorageTest, MatrixAndKernelBlocksAre32ByteAligned) {

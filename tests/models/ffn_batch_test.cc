@@ -118,5 +118,40 @@ TEST(FfnBatchTest, GradientAccumulationComposesAcrossCalls) {
   ExpectSameNet(grads_batch, grads_ref);
 }
 
+TEST(FfnBatchTest, ForwardBatchFromPrefixMatchesForwardAnyShape) {
+  // The paper's [2w, 8, 8] shape runs the fused kernel; every other shape
+  // runs the per-layer kernels. Both must equal Forward on the assembled
+  // rows [user | scale · suffix], rows read in place `stride` apart.
+  const size_t width = 12, batch = 11, stride = width + 5;
+  const std::vector<std::vector<size_t>> shapes = {{8, 8}, {4, 4}, {8}, {16, 8}};
+  for (const std::vector<size_t>& hidden : shapes) {
+    FeedForwardNet net(2 * width, hidden);
+    Rng rng(41 + hidden.size() * 7 + hidden[0]);
+    net.InitXavier(&rng);
+    std::vector<double> user(width);
+    std::vector<double> suffix(batch * stride);
+    for (double& v : user) v = rng.Normal(0.0, 0.4);
+    for (double& v : suffix) v = rng.Normal(0.0, 0.4);
+    for (size_t t = 0; t < suffix.size(); t += 6) suffix[t] = -0.0;
+    std::vector<double> prefix(hidden[0]);
+    net.ForwardPrefix(user.data(), width, prefix.data());
+    for (double scale : {1.0, 0.5}) {
+      std::vector<double> logits(batch);
+      net.ForwardBatchFromPrefix(prefix.data(), suffix.data(), batch, width,
+                                 stride, logits.data(), scale);
+      std::vector<double> row(2 * width);
+      std::copy(user.begin(), user.end(), row.begin());
+      for (size_t b = 0; b < batch; ++b) {
+        for (size_t i = 0; i < width; ++i) {
+          row[width + i] = scale * suffix[b * stride + i];
+        }
+        ASSERT_EQ(logits[b], net.Forward(row.data(), nullptr))
+            << "hidden[0]=" << hidden[0] << " layers=" << hidden.size()
+            << " scale=" << scale << " b=" << b;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace hetefedrec

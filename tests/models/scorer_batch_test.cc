@@ -145,6 +145,44 @@ TEST(ScorerBatchTest, ScoreRangeCoversFullCatalogueAcrossBlocks) {
   }
 }
 
+TEST(ScorerBatchTest, LightGcnInPlaceRangeRescoresInteractedItems) {
+  // Dense LightGCN ScoreRange scores the span's rows in place (scaled by
+  // 0.5 at load) and then rescores the interacted items from their
+  // assembled halves. The span [first, first + n) is cut into kScoreBlock
+  // chunks and 4-item kernel blocks counted from `first`; interacted items
+  // sit in lane 0 and lane 3 of a block, in the last partial block (the
+  // tail), and outside the span on both sides.
+  const size_t width = 16;
+  const ItemId first = 10;
+  const size_t n = Scorer::kScoreBlock + 6;  // tail chunk of 6: lanes 0-3, 0-1
+  const ItemId last = first + static_cast<ItemId>(n) - 1;
+  const std::vector<std::vector<ItemId>> users = {
+      {first + 4, first + 11},                           // lane 0, lane 3
+      {first, first + 3, first + 7},                     // lanes 0, 3, 3
+      {last - 1, last},                                  // tail block
+      {first + 128, last - 2},                           // tail chunk lanes
+      {first - 1, 0, last + 1, static_cast<ItemId>(kItems - 1)},  // outside
+      {first + 4, first - 3, last, last + 5, first + 65},  // mixed
+      {},                                                // no interactions
+  };
+  ScorerFixture s(width);
+  // Exact zeros in the table: 0.5·(-0 + 0) = +0 but 0.5·(-0) = -0 in place;
+  // the zero skip must make both give the same logits.
+  for (size_t j = 0; j < kItems; j += 5) s.table(j, j % width) = -0.0;
+  for (size_t j = 2; j < kItems; j += 9) s.table(j, (j + 3) % width) = 0.0;
+  for (const std::vector<ItemId>& interacted : users) {
+    Scorer sc(BaseModel::kLightGcn, width);
+    sc.BeginUser(s.user.Row(0), s.table, interacted);
+    std::vector<double> out(n, 42.0);
+    sc.ScoreRange(s.table, s.theta, first, n, out.data());
+    for (size_t k = 0; k < n; ++k) {
+      const ItemId j = first + static_cast<ItemId>(k);
+      ASSERT_EQ(out[k], sc.Score(s.table, s.theta, j))
+          << "item " << j << " with " << interacted.size() << " interactions";
+    }
+  }
+}
+
 TEST(ScorerBatchTest, BatchScratchRefreshesAcrossUsers) {
   // The lazily filled user half must be invalidated by BeginUser: two
   // users scored back-to-back through the same scorer get their own pu.

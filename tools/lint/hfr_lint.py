@@ -18,7 +18,8 @@ to break in C++:
   R4 schedule-identity no std::this_thread / std::thread::id / pointer-keyed
                        ordering — thread identity and addresses vary run-to-run
   R5 fast-math         no reassociation flags in any CMake target; AVX2 TUs
-                       stay -mavx2 -mfma only
+                       stay -mavx2 -mfma only; in C++, `#pragma GCC optimize`
+                       and `optimize` attributes may only say fp-contract=off
 
 Suppressions (mandatory reason, checked non-empty):
 
@@ -106,7 +107,11 @@ RULES = {
         "fast-math",
         "Reassociating math flags (-ffast-math, -funsafe-math-optimizations, "
         "-fassociative-math, -freciprocal-math, -Ofast, -ffp-contract=fast) "
-        "break bitwise reproducibility; AVX2 TUs carry -mavx2/-mfma only.",
+        "break bitwise reproducibility; AVX2 TUs carry -mavx2/-mfma only. "
+        "In C++, `#pragma GCC optimize(...)` and "
+        "`__attribute__((optimize(...)))` may only turn contraction off "
+        "(fp-contract=off); any other option, fast-math, associative-math, "
+        "fp-contract=fast and Ofast included, is a finding.",
     ),
 }
 
@@ -310,6 +315,39 @@ UNORDERED_OWNED_DECL_RE = re.compile(
     r"(?:[;={(]|$)")
 
 
+# R5 in C++: per-function optimization overrides. The directive is found on
+# the cleaned line (so comments and string literals never match), its
+# options are read from the raw line's string literals.
+OPTIMIZE_DIRECTIVE_RE = re.compile(
+    r"#\s*pragma\s+GCC\s+optimize\b|"
+    r"__attribute__\s*\(\s*\(\s*(?:__)?optimize(?:__)?\b|"
+    r"\bgnu::(?:__)?optimize(?:__)?\b")
+OPTIMIZE_ARGS_RE = re.compile(r"\b(?:__)?optimize(?:__)?\s*\(([^()]*)\)")
+ALLOWED_OPTIMIZE_OPTIONS = {"fp-contract=off", "-ffp-contract=off"}
+REASSOCIATING_OPTION_RE = re.compile(
+    r"fast-math|unsafe-math|associative-math|reciprocal-math|"
+    r"fp-contract=fast|^-?Ofast$")
+
+
+def optimize_option_problem(raw_line):
+    """Why an optimize pragma/attribute on `raw_line` breaks R5, or None."""
+    m = OPTIMIZE_ARGS_RE.search(raw_line)
+    options = []
+    if m:
+        for literal in re.findall(r'"([^"]*)"', m.group(1)):
+            options.extend(o.strip() for o in literal.split(","))
+    if not options:
+        return "optimize override without a literal option list"
+    bad = [o for o in options if o not in ALLOWED_OPTIMIZE_OPTIONS]
+    if not bad:
+        return None
+    if any(REASSOCIATING_OPTION_RE.search(o) for o in bad):
+        return ("optimize override {} reassociates or contracts math and "
+                "breaks bit-identity".format(bad))
+    return ("optimize override {} — only fp-contract=off is "
+            "sanctioned".format(bad))
+
+
 def find_unordered_names(clean_lines):
     """Names declared in this file as owned unordered containers, including
     elements of vectors-of-unordered (`vector<unordered_set<T>> name`)."""
@@ -367,6 +405,10 @@ def scan_cxx_file(relpath, raw_lines, in_src):
             if pat.search(line):
                 emit(i, "R4", what)
                 break
+        if "optimize" in line and OPTIMIZE_DIRECTIVE_RE.search(line):
+            problem = optimize_option_problem(raw_lines[i - 1])
+            if problem:
+                emit(i, "R5", problem)
         if "unordered_" in line and in_src:
             for m in UNORDERED_OWNED_DECL_RE.finditer(line):
                 prefix = line[: m.start()]
