@@ -68,21 +68,52 @@ void BM_FfnForward(benchmark::State& state) {
 BENCHMARK(BM_FfnForward)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_FfnForwardBackward(benchmark::State& state) {
+  // One training task's per-epoch block through the [2w → 8 → 8 → 1] Θ:
+  // forward with cache, then backward into the gradient net and the input
+  // gradients. Arg 1 selects per-sample Forward/Backward (0) or
+  // ForwardBatch/BackwardBatch (1) — the fp64 training path, whose kernels
+  // run their AVX2 arms when the CPU has them.
   const size_t width = static_cast<size_t>(state.range(0));
-  FeedForwardNet net(2 * width, {8, 8});
+  const bool batched = state.range(1) != 0;
+  constexpr size_t kBatch = 256;
+  const size_t in_dim = 2 * width;
+  FeedForwardNet net(in_dim, {8, 8});
   Rng rng(7);
   net.InitXavier(&rng);
-  std::vector<double> x(2 * width, 0.3);
-  std::vector<double> dx(2 * width);
+  std::vector<double> x(kBatch * in_dim);
+  for (double& v : x) v = rng.Normal(0.0, 0.3);
+  std::vector<double> logits(kBatch), dlogits(kBatch);
+  std::vector<double> dx(kBatch * in_dim);
   FeedForwardNet grads = FeedForwardNet::ZerosLike(net);
   FeedForwardNet::Cache cache;
+  FeedForwardNet::BatchCache batch_cache;
   for (auto _ : state) {
-    double logit = net.Forward(x.data(), &cache);
-    net.Backward(cache, BceWithLogitsGrad(logit, 1.0), &grads, dx.data());
+    if (batched) {
+      net.ForwardBatch(x.data(), kBatch, &batch_cache, logits.data());
+      for (size_t b = 0; b < kBatch; ++b) {
+        dlogits[b] = BceWithLogitsGrad(logits[b], static_cast<double>(b & 1));
+      }
+      net.BackwardBatch(batch_cache, dlogits.data(), &grads, dx.data());
+    } else {
+      for (size_t b = 0; b < kBatch; ++b) {
+        const double logit = net.Forward(x.data() + b * in_dim, &cache);
+        net.Backward(cache,
+                     BceWithLogitsGrad(logit, static_cast<double>(b & 1)),
+                     &grads, dx.data() + b * in_dim);
+      }
+    }
     benchmark::DoNotOptimize(grads);
+    benchmark::DoNotOptimize(dx);
   }
+  state.SetItemsProcessed(state.iterations() * kBatch);
 }
-BENCHMARK(BM_FfnForwardBackward)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_FfnForwardBackward)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({32, 0})
+    ->Args({32, 1});
 
 void BM_BatchedForward(benchmark::State& state) {
   // Per-sample Forward vs one ForwardBatch over the same 256-row block —
@@ -317,10 +348,15 @@ void BM_AdamStep(benchmark::State& state) {
 BENCHMARK(BM_AdamStep)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_DecorrelationLossAndGrad(benchmark::State& state) {
+  // The trainer's DDR shapes: an Um/Ul item table (width 16 or 32) of
+  // `table_rows` rows, correlated over all of them (sample 0, paper-sync's
+  // 685-item ml table) or over a 1,024-row sample (the default
+  // ddr_sample_rows, async-fleet's 1,141-item anime table).
   const size_t width = static_cast<size_t>(state.range(0));
-  const size_t sample_rows = static_cast<size_t>(state.range(1));
-  Matrix table = RandomTable(kItems, width, 23);
-  Matrix grad(kItems, width);
+  const size_t table_rows = static_cast<size_t>(state.range(1));
+  const size_t sample_rows = static_cast<size_t>(state.range(2));
+  Matrix table = RandomTable(table_rows, width, 23);
+  Matrix grad(table_rows, width);
   Rng rng(29);
   for (auto _ : state) {
     grad.SetZero();
@@ -329,9 +365,10 @@ void BM_DecorrelationLossAndGrad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DecorrelationLossAndGrad)
-    ->Args({32, 0})
-    ->Args({32, 256})
-    ->Args({128, 256});
+    ->Args({16, 685, 0})
+    ->Args({32, 685, 0})
+    ->Args({16, 1141, 1024})
+    ->Args({32, 1141, 1024});
 
 void BM_EnsembleDistill(benchmark::State& state) {
   const size_t kd_items = static_cast<size_t>(state.range(0));

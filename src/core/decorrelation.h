@@ -58,6 +58,9 @@ double DecorrelationLossAndGrad(const TableT& table, double alpha,
 /// variants (fp32 compute backend) keep the loss math itself in double —
 /// the sample is small and the RNG draw sequence must match the fp64
 /// backend exactly — only the table reads and gradient writes are float.
+/// On every backend the two correlation products, C = XᵀX and G = X·C, run
+/// on the fp64 kernel layer (AccumulateOuterBatch and GemvBatchResume in
+/// src/math/kernels.h, vectorized on AVX2 CPUs with the scalar loops' bits).
 extern template double DecorrelationLossAndGrad<Matrix, Matrix>(
     const Matrix&, double, size_t, Rng*, Matrix*);
 extern template double

@@ -140,6 +140,7 @@ LocalUpdateResult LocalTrainer::TrainImpl(
                                static_cast<double>(all_train.size())));
     std::vector<ItemId> val_items(all_train.end() - n_val, all_train.end());
     fit_items.assign(all_train.begin(), all_train.end() - n_val);
+    HFR_PROFILE("samples");
     val_samples =
         ds_.BuildEpochFromPositives(client->id, val_items, &client->rng);
   }
@@ -159,8 +160,12 @@ LocalUpdateResult LocalTrainer::TrainImpl(
   LocalUpdateResult result;
 
   for (int epoch = 0; epoch < options.local_epochs; ++epoch) {
-    std::vector<Sample> samples = ds_.BuildEpochFromPositives(
-        client->id, fit_items, &client->rng);
+    std::vector<Sample> samples;
+    {
+      HFR_PROFILE("samples");
+      samples = ds_.BuildEpochFromPositives(client->id, fit_items,
+                                            &client->rng);
+    }
     if constexpr (kSparse) {
       vgrad.Clear();
     } else {
@@ -220,6 +225,7 @@ LocalUpdateResult LocalTrainer::TrainImpl(
 
     double reg_loss = 0.0;
     if (options.apply_ddr) {
+      HFR_PROFILE("ddr");
       reg_loss = DecorrelationLossAndGrad(vtab, options.alpha,
                                           options.ddr_sample_rows,
                                           &client->rng, &vgrad);

@@ -68,7 +68,10 @@ uint64_t ConfigFingerprint(const ExperimentConfig& c,
   // plumbing), debug_stop_after_rounds (the kill hook itself), and the
   // telemetry fields metrics_out/trace_out/profile/track_round_comm (pure
   // observation — a resumed run may toggle them freely).
+  // Doubles stream in hexfloat, which is exact: the default 6 significant
+  // digits would let lr 0.001 and 0.0010000001 share a fingerprint.
   std::ostringstream s;
+  s << std::hexfloat;
   s << method_name << '|' << c.dataset << '|' << c.data_scale << '|'
     << static_cast<int>(c.base_model) << '|' << c.dims[0] << ',' << c.dims[1]
     << ',' << c.dims[2] << '|' << c.ffn_hidden[0] << ',' << c.ffn_hidden[1]

@@ -8,12 +8,12 @@
 //                accumulation order the repo's bit-identity guarantees are
 //                pinned against; all storage of record (server tables,
 //                checkpoints, sync replicas) is double on every backend.
-//                Not scalar-only: evaluation scoring runs the fused fp64
-//                kernel (src/math/kernels_fp64.h) with four
-//                items per AVX2 vector whenever CpuSupportsFp32Simd(),
-//                whatever the backend switch says — separate multiplies
-//                and adds in the scalar order, so the bits are the same
-//                on every CPU.
+//                Not scalar-only: client training (FFN forward/backward,
+//                the DDR products) and evaluation scoring run the fp64
+//                AVX2 kernels (src/math/kernels_fp64.h) whenever
+//                CpuSupportsFp32Simd(), whatever the backend switch says —
+//                separate multiplies and adds in the scalar order, so the
+//                bits are the same on every CPU.
 //   fp32       — client-side compute in float with the *scalar* fp32
 //                kernels: each inner loop mirrors the SIMD algorithm
 //                lane-for-lane (std::fmaf chains and the same reduction
@@ -52,8 +52,9 @@ std::string ComputeBackendName(ComputeBackend backend);
 
 /// True when this process can run the AVX2+FMA kernels: the CPU reports
 /// both features and the build compiled the SIMD translation unit (i.e.
-/// HFR_DISABLE_AVX2 was off). The fp64 fused eval kernel dispatches on
-/// this alone; the fp32 kernels also need Fp32SimdEnabled().
+/// HFR_DISABLE_AVX2 was off). The fp64 AVX2 kernels (training and the
+/// fused eval forward) dispatch on this alone; the fp32 kernels also need
+/// Fp32SimdEnabled().
 bool CpuSupportsFp32Simd();
 
 /// Process-wide switch consulted by the float kernel entry points: when

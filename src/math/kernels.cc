@@ -5,6 +5,7 @@
 
 #include "src/math/backend.h"
 #include "src/math/kernels_fp32.h"
+#include "src/math/kernels_fp64.h"
 
 namespace hetefedrec {
 
@@ -201,6 +202,14 @@ template <typename T>
 void GemvBatchResume(const T* x, size_t batch, size_t x_stride, size_t in_dim,
                      const T* w, const T* init, size_t out_dim, T* out) {
   if constexpr (std::is_same_v<T, double>) {
+    // The AVX2 arms produce the scalar loops' bits, so no backend knob
+    // gates them: CPU support alone decides.
+#ifdef HFR_HAVE_AVX2_TU
+    if (CpuSupportsFp32Simd()) {
+      return fp64::GemvBatchResumeAvx2(x, batch, x_stride, in_dim, w, init,
+                                       out_dim, out);
+    }
+#endif
     GemvBatchResumeF64(x, batch, x_stride, in_dim, w, init, out_dim, out);
   } else {
 #ifdef HFR_HAVE_AVX2_TU
@@ -226,6 +235,12 @@ void AccumulateOuterBatch(const T* in, const T* delta, size_t batch,
                           size_t in_dim, size_t out_dim, T* grads_w,
                           T* grads_b) {
   if constexpr (std::is_same_v<T, double>) {
+#ifdef HFR_HAVE_AVX2_TU
+    if (CpuSupportsFp32Simd()) {
+      return fp64::AccumulateOuterBatchAvx2(in, delta, batch, in_dim, out_dim,
+                                            grads_w, grads_b);
+    }
+#endif
     AccumulateOuterBatchF64(in, delta, batch, in_dim, out_dim, grads_w,
                             grads_b);
   } else {
@@ -244,6 +259,12 @@ template <typename T>
 void GemvBatchTransposed(const T* delta, size_t batch, size_t out_dim,
                          const T* w, size_t in_dim, T* dx) {
   if constexpr (std::is_same_v<T, double>) {
+#ifdef HFR_HAVE_AVX2_TU
+    if (CpuSupportsFp32Simd()) {
+      return fp64::GemvBatchTransposedAvx2(delta, batch, out_dim, w, in_dim,
+                                           dx);
+    }
+#endif
     GemvBatchTransposedF64(delta, batch, out_dim, w, in_dim, dx);
   } else {
 #ifdef HFR_HAVE_AVX2_TU

@@ -26,13 +26,16 @@
 //   the per-sample reference (tests/math/kernels_test.cc and
 //   tests/core/batched_equivalence_test.cc pin this).
 //
-//   fp64 is vectorized too, where the layout allows it without touching
-//   the arithmetic: evaluation of the paper's [in → 8 → 8 → 1] Θ runs the
-//   fused kernel fp64::FusedEvalForwardAvx2 (src/math/kernels_fp64.h) on
-//   CPUs with AVX2 — all three layers in registers, four items in the
-//   lanes of each AVX2 vector — under the same per-target order and zero
-//   skip, so it too produces the scalar loops' bits (docs/PERFORMANCE.md
-//   "Fused fp64 eval kernel").
+//   fp64 is vectorized too, without touching the arithmetic: on CPUs with
+//   AVX2, GemvBatchResume, AccumulateOuterBatch and GemvBatchTransposed run
+//   AVX2 arms (src/math/kernels_fp64.h) for client training — the FFN
+//   forward and backward and the DDR products XᵀX and X·C — and
+//   evaluation of the paper's [in → 8 → 8 → 1] Θ runs the fused kernel
+//   fp64::FusedEvalForwardAvx2. They only move independent targets into
+//   the lanes (rows, columns or inputs, whichever the shape favours) under
+//   the same per-target order and zero skip, so they produce the scalar
+//   loops' bits (docs/PERFORMANCE.md "fp64 training kernels" and "Fused
+//   fp64 eval kernel"); the scalar loops are the only other arm.
 //
 //   T = float — the fp32 backend: fused multiply-adds, no exact-zero skip,
 //   and fixed-tree reductions, dispatched at runtime to hand-vectorized

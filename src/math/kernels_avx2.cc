@@ -1,7 +1,7 @@
 // Hand-vectorized AVX2+FMA kernels (compiled with -mavx2 -mfma; this is
 // the only translation unit with those flags, so nothing here may be
 // called unless runtime dispatch confirmed CPU support): the fp32 set and
-// the fp64 fused evaluation kernel.
+// the fp64 training and fused evaluation kernels.
 //
 // Lockstep contract with kernels_fp32.cc: per output element, the vector
 // code performs the same single-rounding multiply-adds in the same order
@@ -10,9 +10,10 @@
 // to either file must be mirrored in the other
 // (tests/math/kernels_test.cc pins the bit-identity).
 //
-// The fp64 kernel at the end of the file has the opposite contract: no
-// fused multiply-add anywhere (see its section).
+// The fp64 kernels at the end of the file have the opposite contract: no
+// fused multiply-add anywhere (see their section).
 
+#include "src/math/aligned.h"
 #include "src/math/kernels_fp32.h"
 #include "src/math/kernels_fp64.h"
 
@@ -161,20 +162,38 @@ void AxpyAvx2(float alpha, const float* x, float* y, size_t n) {
 
 }  // namespace fp32
 
-// --- fp64 fused evaluation kernel -------------------------------------------
+// --- fp64 kernels -------------------------------------------------------------
 //
-// Four rows (items) ride in the four lanes of each vector; the 8 + 8 + 1
-// accumulators of one 4-row block stay in registers through all three
-// layers. Per lane, every step is the scalar loop's: acc + x·w as a
-// separate multiply and add, inputs in ascending order, and the exact-zero
-// skip as a blend that keeps acc in the lanes whose input is 0. A step
-// whose mask is all-clear or all-set does the same arithmetic without the
-// blend (there it is the identity).
+// Every fp64 kernel below only lays the work out across lanes: per lane,
+// each step is the scalar loop's — acc + x·w as a separate multiply and
+// add, terms in the scalar order, and the exact-zero skip either as the
+// scalar branch (where the skipped input is the same for every lane) or as
+// a per-lane blend that adds −0 instead of x·w in the lanes whose input is
+// 0. Adding −0 is the identity for every acc (+0, −0, ±Inf and quiet NaN
+// included; only a signaling NaN, which no arithmetic produces, would come
+// back quieted), so the blended step keeps acc exactly as the skip does. A
+// step whose mask is all-clear or all-set does the same arithmetic without
+// the blend. Layouts (docs/PERFORMANCE.md "fp64 training kernels"):
+//
+//   rows in lanes    — GemvBatchResume with out_dim 1 or 8 and the fused
+//                      eval forward: four rows per vector, one accumulator
+//                      vector per output, inputs read through 4x4
+//                      transposes.
+//   columns in lanes — GemvBatchResume with any other out_dim (the DDR
+//                      product X·C) and AccumulateOuterBatch with
+//                      out_dim > 1: one
+//                      row's outputs (or a gradient panel's j) across the
+//                      lanes; gradient panels stay in registers while the
+//                      samples stream through in ascending order.
+//   inputs in lanes  — AccumulateOuterBatch with out_dim 1 (its gradient
+//                      is a column) and GemvBatchTransposed, which reads
+//                      W transposed so four inputs i share each vector.
 //
 // GCC contracts a*b + c into an FMA under -mfma unless told otherwise, and
 // the intrinsics below are plain vector * and + to it; a fused step rounds
-// once instead of twice and changes the logits' bits. Hence the pragma:
-// this kernel must compile to zero vfmadd instructions.
+// once instead of twice and changes the results' bits. Hence the pragma:
+// this section must compile to zero fp64 vfmadd instructions (the
+// lint_fp64_no_fma ctest disassembles the object to check).
 #pragma GCC push_options
 #pragma GCC optimize("fp-contract=off")
 
@@ -184,31 +203,10 @@ namespace {
 
 constexpr size_t kH = kFusedEvalHidden;
 
-// acc[j] + x·w[j] for the kH outputs of one input, in the lanes of `live`.
-inline void MulAddLive(__m256d* acc, __m256d x, const double* w,
-                       __m256d live) {
-  const int lanes = _mm256_movemask_pd(live);
-  if (lanes == 0) return;
-  if (lanes == 0xF) {
-    for (size_t j = 0; j < kH; ++j) {
-      acc[j] = _mm256_add_pd(acc[j], _mm256_mul_pd(x, _mm256_set1_pd(w[j])));
-    }
-    return;
-  }
-  for (size_t j = 0; j < kH; ++j) {
-    const __m256d sum =
-        _mm256_add_pd(acc[j], _mm256_mul_pd(x, _mm256_set1_pd(w[j])));
-    acc[j] = _mm256_blendv_pd(acc[j], sum, live);
-  }
-}
-
-// Layer-0 step for input x (one element of each lane's row): scaled once,
-// as the assembled input is, skipped where the scaled input is exactly zero
-// (x != 0 is unordered-true, so NaN inputs are consumed, as in the loop).
-inline void Layer0Input(__m256d* h0, __m256d x, const double* w, bool scaled,
-                        __m256d scale) {
-  if (scaled) x = _mm256_mul_pd(x, scale);
-  MulAddLive(h0, x, w, _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_NEQ_UQ));
+// Lanes whose input is consumed: x != 0 is unordered-true, so NaN inputs
+// are consumed and only ±0 is skipped, as in the scalar loops.
+inline __m256d Nonzero(__m256d x) {
+  return _mm256_cmp_pd(x, _mm256_setzero_pd(), _CMP_NEQ_UQ);
 }
 
 // ReLU then the skip: a lane contributes iff its pre-activation is > 0
@@ -218,7 +216,422 @@ inline __m256d Positive(__m256d v) {
   return _mm256_cmp_pd(v, _mm256_setzero_pd(), _CMP_GT_OQ);
 }
 
+// acc + x·w in the lanes of `live`, acc + (−0) = acc elsewhere. Masking
+// the product rather than blending the sum keeps the select off the
+// accumulator's dependency chain and avoids vblendvpd.
+inline __m256d MulAddBlend(__m256d acc, __m256d x, __m256d w, __m256d live) {
+  const __m256d dead = _mm256_andnot_pd(live, _mm256_set1_pd(-0.0));
+  return _mm256_add_pd(
+      acc, _mm256_or_pd(_mm256_and_pd(_mm256_mul_pd(x, w), live), dead));
+}
+
+// acc[j] + x·w[j] for the N outputs of one input, in the lanes of `live`.
+template <size_t N>
+inline void MulAddLive(__m256d* acc, __m256d x, const double* w,
+                       __m256d live) {
+  const int lanes = _mm256_movemask_pd(live);
+  if (lanes == 0) return;
+  if (lanes == 0xF) {
+    for (size_t j = 0; j < N; ++j) {
+      acc[j] = _mm256_add_pd(acc[j], _mm256_mul_pd(x, _mm256_set1_pd(w[j])));
+    }
+    return;
+  }
+  for (size_t j = 0; j < N; ++j) {
+    acc[j] = MulAddBlend(acc[j], x, _mm256_set1_pd(w[j]), live);
+  }
+}
+
+// In-place 4x4 transpose: afterwards v[k] holds element k of each input.
+inline void Transpose4(__m256d* v) {
+  const __m256d t0 = _mm256_unpacklo_pd(v[0], v[1]);
+  const __m256d t1 = _mm256_unpackhi_pd(v[0], v[1]);
+  const __m256d t2 = _mm256_unpacklo_pd(v[2], v[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(v[2], v[3]);
+  v[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  v[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  v[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  v[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+// Lane mask of the first n (≤ 4) lanes, for loads and stores past a row's
+// end; masked-off lanes load 0 and are never stored.
+inline __m256i FirstLanes(size_t n) {
+  return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(n)),
+                            _mm256_set_epi64x(3, 2, 1, 0));
+}
+
+// Lane masks of the V vectors over columns [j0, j0 + 4·V) of a row of
+// `cols` scalars.
+template <size_t V>
+inline void PanelMasks(size_t j0, size_t cols, __m256i* mask) {
+  for (size_t v = 0; v < V; ++v) {
+    const size_t c = j0 + 4 * v;
+    mask[v] = FirstLanes(c >= cols ? 0 : std::min<size_t>(4, cols - c));
+  }
+}
+
+template <bool kFull>
+inline __m256d LoadLanes(const double* p, __m256i mask) {
+  if constexpr (kFull) return _mm256_loadu_pd(p);
+  return _mm256_maskload_pd(p, mask);
+}
+
+template <bool kFull>
+inline void StoreLanes(double* p, __m256i mask, __m256d v) {
+  if constexpr (kFull) {
+    _mm256_storeu_pd(p, v);
+  } else {
+    _mm256_maskstore_pd(p, mask, v);
+  }
+}
+
+// Row pointers of the 4-row block starting at b; lanes past the batch end
+// re-read the block's first row, and their results are never stored.
+inline size_t BlockRows(const double* x, size_t b, size_t batch,
+                        size_t stride, const double** r) {
+  const size_t rows = std::min<size_t>(4, batch - b);
+  for (size_t l = 0; l < 4; ++l) {
+    r[l] = x + (b + (l < rows ? l : 0)) * stride;
+  }
+  return rows;
+}
+
+// Rows in lanes: out[b, j] = init[j] + Σ_i x[b, i]·w[i, j] for N outputs,
+// the four rows of a block in the four lanes.
+template <size_t N>
+void GemvResumeRowLanes(const double* x, size_t batch, size_t x_stride,
+                        size_t in_dim, const double* w, const double* init,
+                        double* out) {
+  for (size_t b = 0; b < batch; b += 4) {
+    const double* r[4];
+    const size_t rows = BlockRows(x, b, batch, x_stride, r);
+    __m256d acc[N];
+    for (size_t j = 0; j < N; ++j) acc[j] = _mm256_set1_pd(init[j]);
+    size_t i = 0;
+    for (; i + 4 <= in_dim; i += 4) {
+      __m256d c[4];
+      for (size_t l = 0; l < 4; ++l) c[l] = _mm256_loadu_pd(r[l] + i);
+      Transpose4(c);
+      for (size_t k = 0; k < 4; ++k) {
+        MulAddLive<N>(acc, c[k], w + (i + k) * N, Nonzero(c[k]));
+      }
+    }
+    for (; i < in_dim; ++i) {
+      const __m256d c = _mm256_set_pd(r[3][i], r[2][i], r[1][i], r[0][i]);
+      MulAddLive<N>(acc, c, w + i * N, Nonzero(c));
+    }
+    double* orow = out + b * N;
+    if (N == 1 && rows == 4) {
+      _mm256_storeu_pd(orow, acc[0]);
+    } else if (N % 4 == 0 && rows == 4) {
+      for (size_t j = 0; j + 4 <= N; j += 4) {
+        __m256d t[4] = {acc[j], acc[j + 1], acc[j + 2], acc[j + 3]};
+        Transpose4(t);
+        for (size_t l = 0; l < 4; ++l) _mm256_storeu_pd(orow + l * N + j, t[l]);
+      }
+    } else {
+      alignas(32) double lanes[4 * N];
+      for (size_t j = 0; j < N; ++j) _mm256_store_pd(lanes + 4 * j, acc[j]);
+      for (size_t l = 0; l < rows; ++l) {
+        for (size_t j = 0; j < N; ++j) orow[l * N + j] = lanes[4 * j + l];
+      }
+    }
+  }
+}
+
+// Columns in lanes: one row's outputs [j0, j0 + 16) in four vectors, two
+// rows at a time (R = 2) for independent chains. The skip is the scalar
+// branch — a row's input is the same in every lane.
+constexpr size_t kPanelVecs = 4;
+constexpr size_t kPanelCols = 4 * kPanelVecs;
+
+template <size_t R, bool kFull>
+void GemvResumeColPanel(const double* x, size_t x_stride, size_t in_dim,
+                        const double* w, const double* init, size_t out_dim,
+                        size_t j0, const __m256i* mask, double* out) {
+  __m256d acc[R][kPanelVecs];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < kPanelVecs; ++v) {
+      acc[r][v] = LoadLanes<kFull>(init + j0 + 4 * v, mask[v]);
+    }
+  }
+  for (size_t i = 0; i < in_dim; ++i) {
+    const double* wrow = w + i * out_dim + j0;
+    for (size_t r = 0; r < R; ++r) {
+      const double xi = x[r * x_stride + i];
+      if (xi == 0.0) continue;
+      const __m256d x4 = _mm256_set1_pd(xi);
+      for (size_t v = 0; v < kPanelVecs; ++v) {
+        acc[r][v] = _mm256_add_pd(
+            acc[r][v],
+            _mm256_mul_pd(x4, LoadLanes<kFull>(wrow + 4 * v, mask[v])));
+      }
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < kPanelVecs; ++v) {
+      StoreLanes<kFull>(out + r * out_dim + j0 + 4 * v, mask[v], acc[r][v]);
+    }
+  }
+}
+
+template <bool kFull>
+void GemvResumeColLanes(const double* x, size_t batch, size_t x_stride,
+                        size_t in_dim, const double* w, const double* init,
+                        size_t out_dim, size_t j0, double* out) {
+  __m256i mask[kPanelVecs];
+  PanelMasks<kPanelVecs>(j0, out_dim, mask);
+  size_t b = 0;
+  for (; b + 2 <= batch; b += 2) {
+    GemvResumeColPanel<2, kFull>(x + b * x_stride, x_stride, in_dim, w, init,
+                                 out_dim, j0, mask, out + b * out_dim);
+  }
+  if (b < batch) {
+    GemvResumeColPanel<1, kFull>(x + b * x_stride, x_stride, in_dim, w, init,
+                                 out_dim, j0, mask, out + b * out_dim);
+  }
+}
+
+// Columns in lanes: the I x (4·V) gradient panel starting at (i0, j0) stays
+// in registers while every sample adds its in ⊗ delta terms, in ascending
+// sample order. Inputs feeding a ReLU layer are zero about half the time,
+// so the skip is a blend, not a branch.
+template <size_t I, size_t V, bool kFull>
+void OuterPanel(const double* in, const double* delta, size_t batch,
+                size_t in_dim, size_t out_dim, size_t i0, size_t j0,
+                const __m256i* mask, double* grads_w) {
+  __m256d acc[I][V];
+  for (size_t r = 0; r < I; ++r) {
+    for (size_t v = 0; v < V; ++v) {
+      acc[r][v] = LoadLanes<kFull>(grads_w + (i0 + r) * out_dim + j0 + 4 * v,
+                                   mask[v]);
+    }
+  }
+  for (size_t b = 0; b < batch; ++b) {
+    const double* drow = delta + b * out_dim + j0;
+    __m256d d[V];
+    for (size_t v = 0; v < V; ++v) {
+      d[v] = LoadLanes<kFull>(drow + 4 * v, mask[v]);
+    }
+    const double* irow = in + b * in_dim + i0;
+    // One branch per sample: embedding and DDR inputs are almost never
+    // exactly zero, and ReLU outputs almost always include one.
+    bool all_live = true;
+    for (size_t r = 0; r < I; ++r) all_live &= irow[r] != 0.0;
+    if (all_live) {
+      for (size_t r = 0; r < I; ++r) {
+        const __m256d x4 = _mm256_broadcast_sd(irow + r);
+        for (size_t v = 0; v < V; ++v) {
+          acc[r][v] = _mm256_add_pd(acc[r][v], _mm256_mul_pd(x4, d[v]));
+        }
+      }
+      continue;
+    }
+    for (size_t r = 0; r < I; ++r) {
+      const __m256d x4 = _mm256_broadcast_sd(irow + r);
+      const __m256d live = Nonzero(x4);
+      for (size_t v = 0; v < V; ++v) {
+        acc[r][v] = MulAddBlend(acc[r][v], x4, d[v], live);
+      }
+    }
+  }
+  for (size_t r = 0; r < I; ++r) {
+    for (size_t v = 0; v < V; ++v) {
+      StoreLanes<kFull>(grads_w + (i0 + r) * out_dim + j0 + 4 * v, mask[v],
+                        acc[r][v]);
+    }
+  }
+}
+
+// Panels of V vectors (4·V columns) × I inputs, with the trailing inputs
+// one at a time: I · V = 8 accumulators.
+template <size_t I, size_t V, bool kFull>
+void OuterColLanes(const double* in, const double* delta, size_t batch,
+                   size_t in_dim, size_t out_dim, size_t j0,
+                   double* grads_w) {
+  __m256i mask[V];
+  PanelMasks<V>(j0, out_dim, mask);
+  size_t i0 = 0;
+  for (; i0 + I <= in_dim; i0 += I) {
+    OuterPanel<I, V, kFull>(in, delta, batch, in_dim, out_dim, i0, j0, mask,
+                            grads_w);
+  }
+  for (; i0 < in_dim; ++i0) {
+    OuterPanel<1, V, kFull>(in, delta, batch, in_dim, out_dim, i0, j0, mask,
+                            grads_w);
+  }
+}
+
+template <size_t V>
+void OuterColumns(const double* in, const double* delta, size_t batch,
+                  size_t in_dim, size_t out_dim, double* grads_w) {
+  constexpr size_t kCols = 4 * V;
+  constexpr size_t kI = 8 / V;
+  size_t j0 = 0;
+  for (; j0 + kCols <= out_dim; j0 += kCols) {
+    OuterColLanes<kI, V, true>(in, delta, batch, in_dim, out_dim, j0,
+                               grads_w);
+  }
+  if (j0 < out_dim) {
+    OuterColLanes<kI, V, false>(in, delta, batch, in_dim, out_dim, j0,
+                                grads_w);
+  }
+}
+
+// Inputs in lanes for a one-column gradient: grads_w[i] over panels of
+// eight inputs, samples streaming through in ascending order.
+template <bool kFull>
+void OuterOneColumnPanel(const double* in, const double* delta, size_t batch,
+                         size_t in_dim, size_t i0, double* grads_w) {
+  __m256i mask[2];
+  PanelMasks<2>(i0, in_dim, mask);
+  __m256d acc[2];
+  for (size_t v = 0; v < 2; ++v) {
+    acc[v] = LoadLanes<kFull>(grads_w + i0 + 4 * v, mask[v]);
+  }
+  for (size_t b = 0; b < batch; ++b) {
+    const __m256d d = _mm256_broadcast_sd(delta + b);
+    const double* irow = in + b * in_dim + i0;
+    for (size_t v = 0; v < 2; ++v) {
+      const __m256d x = LoadLanes<kFull>(irow + 4 * v, mask[v]);
+      acc[v] = MulAddBlend(acc[v], x, d, Nonzero(x));
+    }
+  }
+  for (size_t v = 0; v < 2; ++v) {
+    StoreLanes<kFull>(grads_w + i0 + 4 * v, mask[v], acc[v]);
+  }
+}
+
+// grads_b[j] += Σ_b delta[b, j], ascending b, in column-lane panels.
+void AccumulateBias(const double* delta, size_t batch, size_t out_dim,
+                    double* grads_b) {
+  if (out_dim == 1) {
+    double acc = grads_b[0];
+    for (size_t b = 0; b < batch; ++b) acc += delta[b];
+    grads_b[0] = acc;
+    return;
+  }
+  for (size_t j0 = 0; j0 < out_dim; j0 += kPanelCols) {
+    __m256i mask[kPanelVecs];
+    PanelMasks<kPanelVecs>(j0, out_dim, mask);
+    __m256d acc[kPanelVecs];
+    for (size_t v = 0; v < kPanelVecs; ++v) {
+      acc[v] = _mm256_maskload_pd(grads_b + j0 + 4 * v, mask[v]);
+    }
+    for (size_t b = 0; b < batch; ++b) {
+      const double* drow = delta + b * out_dim + j0;
+      for (size_t v = 0; v < kPanelVecs; ++v) {
+        acc[v] = _mm256_add_pd(acc[v],
+                               _mm256_maskload_pd(drow + 4 * v, mask[v]));
+      }
+    }
+    for (size_t v = 0; v < kPanelVecs; ++v) {
+      _mm256_maskstore_pd(grads_b + j0 + 4 * v, mask[v], acc[v]);
+    }
+  }
+}
+
+// Fused-eval layer-0 step for input x (one element of each lane's row):
+// scaled once, as the assembled input is, skipped where the scaled input is
+// exactly zero.
+inline void Layer0Input(__m256d* h0, __m256d x, const double* w, bool scaled,
+                        __m256d scale) {
+  if (scaled) x = _mm256_mul_pd(x, scale);
+  MulAddLive<kH>(h0, x, w, Nonzero(x));
+}
+
 }  // namespace
+
+void GemvBatchResumeAvx2(const double* x, size_t batch, size_t x_stride,
+                         size_t in_dim, const double* w, const double* init,
+                         size_t out_dim, double* out) {
+  // The Θ shapes — a hidden layer's 8 outputs, the logit's 1 — put rows in
+  // the lanes; every other width (DDR's X·C) puts columns there.
+  if (out_dim == 1) {
+    return GemvResumeRowLanes<1>(x, batch, x_stride, in_dim, w, init, out);
+  }
+  if (out_dim == kH) {
+    return GemvResumeRowLanes<kH>(x, batch, x_stride, in_dim, w, init, out);
+  }
+  size_t j0 = 0;
+  for (; j0 + kPanelCols <= out_dim; j0 += kPanelCols) {
+    GemvResumeColLanes<true>(x, batch, x_stride, in_dim, w, init, out_dim, j0,
+                             out);
+  }
+  if (j0 < out_dim) {
+    GemvResumeColLanes<false>(x, batch, x_stride, in_dim, w, init, out_dim,
+                              j0, out);
+  }
+}
+
+void AccumulateOuterBatchAvx2(const double* in, const double* delta,
+                              size_t batch, size_t in_dim, size_t out_dim,
+                              double* grads_w, double* grads_b) {
+  AccumulateBias(delta, batch, out_dim, grads_b);
+  if (out_dim == 1) {
+    size_t i0 = 0;
+    for (; i0 + 8 <= in_dim; i0 += 8) {
+      OuterOneColumnPanel<true>(in, delta, batch, in_dim, i0, grads_w);
+    }
+    if (i0 < in_dim) {
+      OuterOneColumnPanel<false>(in, delta, batch, in_dim, i0, grads_w);
+    }
+  } else if (out_dim <= 8) {
+    OuterColumns<2>(in, delta, batch, in_dim, out_dim, grads_w);
+  } else {
+    OuterColumns<kPanelVecs>(in, delta, batch, in_dim, out_dim, grads_w);
+  }
+}
+
+void GemvBatchTransposedAvx2(const double* delta, size_t batch,
+                             size_t out_dim, const double* w, size_t in_dim,
+                             double* dx) {
+  // Wᵀ with each row padded to whole vectors: wt[j, i] = w[i, j].
+  const size_t pad = (in_dim + 3) / 4 * 4;
+  thread_local AlignedVector<double> wt;
+  wt.assign(out_dim * pad, 0.0);
+  for (size_t i = 0; i < in_dim; ++i) {
+    for (size_t j = 0; j < out_dim; ++j) wt[j * pad + i] = w[i * out_dim + j];
+  }
+  const __m256i tail = FirstLanes(in_dim % 4);
+  // dx[b, i] = +0 + Σ_j w[i, j]·delta[b, j] in ascending j, four i per
+  // vector; two vectors per pass share the delta broadcasts.
+  for (size_t b = 0; b < batch; ++b) {
+    const double* drow = delta + b * out_dim;
+    double* dxrow = dx + b * in_dim;
+    size_t i0 = 0;
+    for (; i0 + 8 <= pad; i0 += 8) {
+      __m256d acc0 = _mm256_setzero_pd();
+      __m256d acc1 = _mm256_setzero_pd();
+      for (size_t j = 0; j < out_dim; ++j) {
+        const __m256d d = _mm256_broadcast_sd(drow + j);
+        const double* wtj = wt.data() + j * pad + i0;
+        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(_mm256_load_pd(wtj), d));
+        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(_mm256_load_pd(wtj + 4), d));
+      }
+      _mm256_storeu_pd(dxrow + i0, acc0);
+      if (i0 + 8 <= in_dim) {
+        _mm256_storeu_pd(dxrow + i0 + 4, acc1);
+      } else {
+        _mm256_maskstore_pd(dxrow + i0 + 4, tail, acc1);
+      }
+    }
+    if (i0 < pad) {
+      __m256d acc = _mm256_setzero_pd();
+      for (size_t j = 0; j < out_dim; ++j) {
+        acc = _mm256_add_pd(
+            acc, _mm256_mul_pd(_mm256_load_pd(wt.data() + j * pad + i0),
+                               _mm256_broadcast_sd(drow + j)));
+      }
+      if (i0 + 4 <= in_dim) {
+        _mm256_storeu_pd(dxrow + i0, acc);
+      } else {
+        _mm256_maskstore_pd(dxrow + i0, tail, acc);
+      }
+    }
+  }
+}
 
 void FusedEvalForwardAvx2(const FusedEvalNet& net, const double* prefix,
                           const double* x, size_t batch, size_t x_stride,
@@ -226,35 +639,19 @@ void FusedEvalForwardAvx2(const FusedEvalNet& net, const double* prefix,
   const bool scaled = scale != 1.0;
   const __m256d scale4 = _mm256_set1_pd(scale);
   for (size_t b = 0; b < batch; b += 4) {
-    const size_t rows = std::min<size_t>(4, batch - b);
-    // Lanes past the batch end re-read the block's first row; their
-    // results are never stored.
     const double* r[4];
-    for (size_t l = 0; l < 4; ++l) {
-      r[l] = x + (b + (l < rows ? l : 0)) * x_stride;
-    }
+    const size_t rows = BlockRows(x, b, batch, x_stride, r);
 
     __m256d h0[kH];
     for (size_t j = 0; j < kH; ++j) h0[j] = _mm256_set1_pd(prefix[j]);
     size_t i = 0;
     for (; i + 4 <= in_dim; i += 4) {
-      // 4x4 transpose: permute k holds input i + k of the four rows.
-      const __m256d a0 = _mm256_loadu_pd(r[0] + i);
-      const __m256d a1 = _mm256_loadu_pd(r[1] + i);
-      const __m256d a2 = _mm256_loadu_pd(r[2] + i);
-      const __m256d a3 = _mm256_loadu_pd(r[3] + i);
-      const __m256d t0 = _mm256_unpacklo_pd(a0, a1);
-      const __m256d t1 = _mm256_unpackhi_pd(a0, a1);
-      const __m256d t2 = _mm256_unpacklo_pd(a2, a3);
-      const __m256d t3 = _mm256_unpackhi_pd(a2, a3);
-      const double* w = net.w0 + i * kH;
-      Layer0Input(h0, _mm256_permute2f128_pd(t0, t2, 0x20), w, scaled, scale4);
-      Layer0Input(h0, _mm256_permute2f128_pd(t1, t3, 0x20), w + kH, scaled,
-                  scale4);
-      Layer0Input(h0, _mm256_permute2f128_pd(t0, t2, 0x31), w + 2 * kH,
-                  scaled, scale4);
-      Layer0Input(h0, _mm256_permute2f128_pd(t1, t3, 0x31), w + 3 * kH,
-                  scaled, scale4);
+      __m256d c[4];
+      for (size_t l = 0; l < 4; ++l) c[l] = _mm256_loadu_pd(r[l] + i);
+      Transpose4(c);
+      for (size_t k = 0; k < 4; ++k) {
+        Layer0Input(h0, c[k], net.w0 + (i + k) * kH, scaled, scale4);
+      }
     }
     for (; i < in_dim; ++i) {
       Layer0Input(h0, _mm256_set_pd(r[3][i], r[2][i], r[1][i], r[0][i]),
@@ -264,14 +661,13 @@ void FusedEvalForwardAvx2(const FusedEvalNet& net, const double* prefix,
     __m256d h1[kH];
     for (size_t j = 0; j < kH; ++j) h1[j] = _mm256_set1_pd(net.b1[j]);
     for (size_t i1 = 0; i1 < kH; ++i1) {
-      MulAddLive(h1, h0[i1], net.w1 + i1 * kH, Positive(h0[i1]));
+      MulAddLive<kH>(h1, h0[i1], net.w1 + i1 * kH, Positive(h0[i1]));
     }
 
     __m256d out = _mm256_set1_pd(net.b2[0]);
     for (size_t i2 = 0; i2 < kH; ++i2) {
-      const __m256d sum = _mm256_add_pd(
-          out, _mm256_mul_pd(h1[i2], _mm256_set1_pd(net.w2[i2])));
-      out = _mm256_blendv_pd(out, sum, Positive(h1[i2]));
+      out = MulAddBlend(out, h1[i2], _mm256_set1_pd(net.w2[i2]),
+                        Positive(h1[i2]));
     }
     if (rows == 4) {
       _mm256_storeu_pd(logits + b, out);

@@ -1,17 +1,17 @@
-// Internal fp64 AVX2 kernel: the fused evaluation forward of the paper's
-// [in → 8 → 8 → 1] Θ, four rows in the four lanes of each AVX2 vector with
-// all three layers in registers (kernels_avx2.cc, compiled only when the
-// build enables the SIMD translation unit, HFR_HAVE_AVX2_TU).
+// Internal fp64 AVX2 kernels (kernels_avx2.cc, compiled only when the
+// build enables the SIMD translation unit, HFR_HAVE_AVX2_TU): the AVX2 arms
+// of the fp64 training kernels behind GemvBatchResume, AccumulateOuterBatch
+// and GemvBatchTransposed (src/math/kernels.h), and the fused evaluation
+// forward of the paper's [in → 8 → 8 → 1] Θ.
 //
 // Unlike the fp32 kernels (src/math/kernels_fp32.h), which use fused
-// multiply-adds, this kernel keeps fp64's separate multiply and add: it
-// only lays the work out across rows, and every lane performs its row's
-// scalar operations in the scalar order. Its logits are therefore
-// bit-identical to FeedForwardNet::Forward on the assembled rows (pinned by
-// tests/math/kernels_test.cc FusedEvalForwardTest).
-// FeedForwardNet::ForwardBatchFromPrefix calls it for double nets of this
-// shape when CpuSupportsFp32Simd(); everywhere else the per-layer
-// GemvBatchResume chain computes the same bits.
+// multiply-adds, these keep fp64's separate multiply and add: they only lay
+// the work out across lanes, and every lane performs its target's scalar
+// operations in the scalar order, exact-zero skip included. Their results
+// are therefore bit-identical to the scalar loops in kernels.cc and to
+// FeedForwardNet::Forward (pinned by tests/math/kernels_test.cc). The
+// dispatchers call them whenever CpuSupportsFp32Simd(); everywhere else the
+// scalar loops compute the same bits.
 #ifndef HETEFEDREC_MATH_KERNELS_FP64_H_
 #define HETEFEDREC_MATH_KERNELS_FP64_H_
 
@@ -34,6 +34,18 @@ struct FusedEvalNet {
 };
 
 #ifdef HFR_HAVE_AVX2_TU
+/// AVX2 arms of the fp64 kernels in src/math/kernels.h, same signatures and
+/// contracts (any shape). Require CPU AVX2 support.
+void GemvBatchResumeAvx2(const double* x, size_t batch, size_t x_stride,
+                         size_t in_dim, const double* w, const double* init,
+                         size_t out_dim, double* out);
+void AccumulateOuterBatchAvx2(const double* in, const double* delta,
+                              size_t batch, size_t in_dim, size_t out_dim,
+                              double* grads_w, double* grads_b);
+void GemvBatchTransposedAvx2(const double* delta, size_t batch,
+                             size_t out_dim, const double* w, size_t in_dim,
+                             double* dx);
+
 /// Evaluation forward resumed from layer-0 partial sums: per row b, layer 0
 /// starts at `prefix` (8 accumulators) and consumes scale · x[b, 0..in_dim)
 /// (rows `x_stride` scalars apart), then ReLU → layer 1 → ReLU → output;

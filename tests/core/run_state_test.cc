@@ -217,6 +217,18 @@ TEST(RunStateTest, FingerprintCoversResultsAffectingKnobsOnly) {
   b.admission_control = true;
   EXPECT_NE(base, ConfigFingerprint(b, "hetefedrec"));
 
+  // ...down to the last bit of a double, not its 6-digit rendering.
+  ExperimentConfig lr_a = a, lr_b = a;
+  lr_a.lr = 0.001;
+  lr_b.lr = 0.0010000001;
+  EXPECT_NE(ConfigFingerprint(lr_a, "hetefedrec"),
+            ConfigFingerprint(lr_b, "hetefedrec"));
+  ExperimentConfig scale_a = a, scale_b = a;
+  scale_a.data_scale = 0.1;
+  scale_b.data_scale = 0.10000001;
+  EXPECT_NE(ConfigFingerprint(scale_a, "hetefedrec"),
+            ConfigFingerprint(scale_b, "hetefedrec"));
+
   // ...while IO/perf plumbing does not: the same run can resume under a
   // different thread count or checkpoint cadence.
   b = a;

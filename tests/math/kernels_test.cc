@@ -519,6 +519,241 @@ TEST(FusedEvalForwardTest, SpecialsReachTheLogits) {
   EXPECT_GT(nan, 0u);
 }
 
+// --- fp64 training kernels: AVX2 arms vs the scalar loops -----------------
+//
+// Test-local copies of the scalar fp64 loops in kernels.cc (their
+// GemvBatchResumeGeneric, AccumulateOuterBatchGeneric and
+// GemvBatchTransposedGeneric bodies; the *Fixed variants are the same loops
+// with a compile-time out_dim). Every AVX2 arm must reproduce their bits.
+
+void ScalarResume(const double* x, size_t batch, size_t x_stride,
+                  size_t in_dim, const double* w, const double* init,
+                  size_t out_dim, double* out) {
+  for (size_t b = 0; b < batch; ++b) {
+    const double* xrow = x + b * x_stride;
+    double* orow = out + b * out_dim;
+    std::copy(init, init + out_dim, orow);
+    for (size_t i = 0; i < in_dim; ++i) {
+      const double xi = xrow[i];
+      if (xi == 0.0) continue;
+      const double* wrow = w + i * out_dim;
+      for (size_t j = 0; j < out_dim; ++j) orow[j] += xi * wrow[j];
+    }
+  }
+}
+
+void ScalarOuter(const double* in, const double* delta, size_t batch,
+                 size_t in_dim, size_t out_dim, double* grads_w,
+                 double* grads_b) {
+  for (size_t b = 0; b < batch; ++b) {
+    const double* drow = delta + b * out_dim;
+    const double* irow = in + b * in_dim;
+    for (size_t j = 0; j < out_dim; ++j) grads_b[j] += drow[j];
+    for (size_t i = 0; i < in_dim; ++i) {
+      const double xi = irow[i];
+      if (xi == 0.0) continue;
+      double* grow = grads_w + i * out_dim;
+      for (size_t j = 0; j < out_dim; ++j) grow[j] += xi * drow[j];
+    }
+  }
+}
+
+void ScalarTransposed(const double* delta, size_t batch, size_t out_dim,
+                      const double* w, size_t in_dim, double* dx) {
+  for (size_t b = 0; b < batch; ++b) {
+    const double* drow = delta + b * out_dim;
+    double* dxrow = dx + b * in_dim;
+    for (size_t i = 0; i < in_dim; ++i) {
+      const double* wrow = w + i * out_dim;
+      double acc = 0.0;
+      for (size_t j = 0; j < out_dim; ++j) acc += wrow[j] * drow[j];
+      dxrow[i] = acc;
+    }
+  }
+}
+
+using ResumeFn = std::function<void(const double*, size_t, size_t, size_t,
+                                    const double*, const double*, size_t,
+                                    double*)>;
+using OuterFn = std::function<void(const double*, const double*, size_t,
+                                   size_t, size_t, double*, double*)>;
+using TransposedFn = std::function<void(const double*, size_t, size_t,
+                                        const double*, size_t, double*)>;
+
+// The NaN the hardware generates (Inf·0, Inf − Inf): sign set, quiet, no
+// payload. When two NaNs meet in an add, x86 returns the first operand's,
+// and the compiler may order a commutative + either way in the scalar loop
+// and the vector code alike — so injecting this one NaN keeps every NaN in
+// play the same bits and the comparison exact.
+double DefaultNaN() {
+  const uint64_t bits = 0xFFF8000000000000ULL;
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// Normal values with exact +0 and −0 sprinkled in; with `specials`, also
+// NaN, +Inf and −Inf.
+std::vector<double> TrainingBlock(size_t n, uint64_t seed, bool specials) {
+  std::vector<double> v = RandomBlock(n, seed);
+  for (size_t t = 0; t < n; t += 5) v[t] = 0.0;
+  for (size_t t = 2; t < n; t += 9) v[t] = -0.0;
+  if (specials) {
+    const double inf = std::numeric_limits<double>::infinity();
+    for (size_t t = 3; t < n; t += 97) v[t] = DefaultNaN();
+    for (size_t t = 7; t < n; t += 89) v[t] = inf;
+    for (size_t t = 11; t < n; t += 83) v[t] = -inf;
+  }
+  return v;
+}
+
+void ExpectSameBits(const std::vector<double>& got,
+                    const std::vector<double>& ref, const std::string& where) {
+  ASSERT_EQ(got.size(), ref.size()) << where;
+  for (size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(Bits(got[t]), Bits(ref[t]))
+        << where << " t=" << t << " got=" << got[t] << " ref=" << ref[t];
+  }
+}
+
+const std::vector<size_t> kTrainOutDims = {1, 3, 8, 16, 32};
+const std::vector<size_t> kTrainInDims = {1, 5, 8, 16, 32, 64};
+const std::vector<size_t> kTrainBatches = {1, 2,  3,   4,   5,   6,   7,
+                                           8, 9, 127, 128, 1024};
+
+std::string Shape(size_t out_dim, size_t in_dim, size_t batch,
+                  bool specials) {
+  return "out_dim=" + std::to_string(out_dim) +
+         " in_dim=" + std::to_string(in_dim) +
+         " batch=" + std::to_string(batch) +
+         " specials=" + std::to_string(specials);
+}
+
+void ExpectResumeMatchesScalar(const ResumeFn& resume) {
+  for (size_t out_dim : kTrainOutDims) {
+    for (size_t in_dim : kTrainInDims) {
+      for (size_t batch : kTrainBatches) {
+        for (bool specials : {false, true}) {
+          const size_t stride = in_dim + 3;
+          const uint64_t seed = out_dim * 7919 + in_dim * 131 + batch;
+          const std::vector<double> x =
+              TrainingBlock(batch * stride, seed, specials);
+          const std::vector<double> w =
+              TrainingBlock(in_dim * out_dim, seed + 1, specials);
+          std::vector<double> init = RandomBlock(out_dim, seed + 2);
+          init[0] = -0.0;
+          std::vector<double> ref(batch * out_dim);
+          ScalarResume(x.data(), batch, stride, in_dim, w.data(), init.data(),
+                       out_dim, ref.data());
+          std::vector<double> got(batch * out_dim, 42.0);
+          resume(x.data(), batch, stride, in_dim, w.data(), init.data(),
+                 out_dim, got.data());
+          ExpectSameBits(got, ref, Shape(out_dim, in_dim, batch, specials));
+        }
+      }
+    }
+  }
+}
+
+void ExpectOuterMatchesScalar(const OuterFn& outer) {
+  for (size_t out_dim : kTrainOutDims) {
+    for (size_t in_dim : kTrainInDims) {
+      for (size_t batch : kTrainBatches) {
+        for (bool specials : {false, true}) {
+          const uint64_t seed = out_dim * 6007 + in_dim * 113 + batch;
+          const std::vector<double> in =
+              TrainingBlock(batch * in_dim, seed, specials);
+          const std::vector<double> delta =
+              TrainingBlock(batch * out_dim, seed + 1, specials);
+          // Pre-seeded panels: nonzero values and −0.0 (a −0 target stays
+          // −0 only while every term is skipped or −0).
+          std::vector<double> gw = RandomBlock(in_dim * out_dim, seed + 2);
+          for (size_t t = 0; t < gw.size(); t += 4) gw[t] = -0.0;
+          std::vector<double> gb = RandomBlock(out_dim, seed + 3);
+          gb[0] = -0.0;
+          std::vector<double> ref_w = gw, ref_b = gb;
+          ScalarOuter(in.data(), delta.data(), batch, in_dim, out_dim,
+                      ref_w.data(), ref_b.data());
+          outer(in.data(), delta.data(), batch, in_dim, out_dim, gw.data(),
+                gb.data());
+          const std::string where = Shape(out_dim, in_dim, batch, specials);
+          ExpectSameBits(gw, ref_w, where + " grads_w");
+          ExpectSameBits(gb, ref_b, where + " grads_b");
+        }
+      }
+    }
+  }
+}
+
+void ExpectTransposedMatchesScalar(const TransposedFn& transposed) {
+  for (size_t out_dim : kTrainOutDims) {
+    for (size_t in_dim : kTrainInDims) {
+      for (size_t batch : kTrainBatches) {
+        for (bool specials : {false, true}) {
+          const uint64_t seed = out_dim * 5003 + in_dim * 109 + batch;
+          const std::vector<double> delta =
+              TrainingBlock(batch * out_dim, seed, specials);
+          const std::vector<double> w =
+              TrainingBlock(in_dim * out_dim, seed + 1, specials);
+          std::vector<double> ref(batch * in_dim);
+          ScalarTransposed(delta.data(), batch, out_dim, w.data(), in_dim,
+                           ref.data());
+          std::vector<double> got(batch * in_dim, 42.0);
+          transposed(delta.data(), batch, out_dim, w.data(), in_dim,
+                     got.data());
+          ExpectSameBits(got, ref, Shape(out_dim, in_dim, batch, specials));
+        }
+      }
+    }
+  }
+}
+
+TEST(Fp64TrainingKernelsTest, FixtureProducesEverySpecial) {
+  // Guards the fixture: the sweeps above only prove the skip and the
+  // special-value paths if their inputs actually contain them.
+  const std::vector<double> v = TrainingBlock(1024, 1, true);
+  size_t pos_zero = 0, neg_zero = 0, nan = 0, pos_inf = 0, neg_inf = 0;
+  for (double x : v) {
+    if (x == 0.0 && !std::signbit(x)) ++pos_zero;
+    if (x == 0.0 && std::signbit(x)) ++neg_zero;
+    if (std::isnan(x)) ++nan;
+    if (std::isinf(x) && x > 0) ++pos_inf;
+    if (std::isinf(x) && x < 0) ++neg_inf;
+  }
+  EXPECT_GT(pos_zero, 0u);
+  EXPECT_GT(neg_zero, 0u);
+  EXPECT_GT(nan, 0u);
+  EXPECT_GT(pos_inf, 0u);
+  EXPECT_GT(neg_inf, 0u);
+  volatile double zero = 0.0;  // the hardware's NaN, not the compiler's
+  EXPECT_EQ(Bits(DefaultNaN()),
+            Bits(std::numeric_limits<double>::infinity() * zero));
+}
+
+#ifdef HFR_HAVE_AVX2_TU
+TEST(Fp64TrainingKernelsTest, GemvBatchResumeAvx2MatchesScalarBitForBit) {
+  if (!CpuSupportsFp32Simd()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  ExpectResumeMatchesScalar(fp64::GemvBatchResumeAvx2);
+}
+
+TEST(Fp64TrainingKernelsTest, AccumulateOuterBatchAvx2MatchesScalarBitForBit) {
+  if (!CpuSupportsFp32Simd()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  ExpectOuterMatchesScalar(fp64::AccumulateOuterBatchAvx2);
+}
+
+TEST(Fp64TrainingKernelsTest, GemvBatchTransposedAvx2MatchesScalarBitForBit) {
+  if (!CpuSupportsFp32Simd()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  ExpectTransposedMatchesScalar(fp64::GemvBatchTransposedAvx2);
+}
+#endif  // HFR_HAVE_AVX2_TU
+
+TEST(Fp64TrainingKernelsTest, DispatchedKernelsMatchScalarBitForBit) {
+  // Whatever arm the dispatcher picks on this machine and build.
+  ExpectResumeMatchesScalar(GemvBatchResume<double>);
+  ExpectOuterMatchesScalar(AccumulateOuterBatch<double>);
+  ExpectTransposedMatchesScalar(GemvBatchTransposed<double>);
+}
+
 TEST(AlignedStorageTest, MatrixAndKernelBlocksAre32ByteAligned) {
   // The AVX2 kernels load 8-lane vectors straight out of Matrix rows and
   // block scratch; AlignedVector must put every buffer on a 32-byte
