@@ -28,6 +28,7 @@
 #include "src/math/backend.h"
 #include "src/math/eigen.h"
 #include "src/math/init.h"
+#include "src/math/kernels_fp64.h"
 #include "src/math/stats.h"
 #include "src/models/scorer.h"
 #include "src/util/logging.h"
@@ -303,6 +304,57 @@ BENCHMARK(BM_EvalScoring)
     ->Args({3, 1, 0})
     ->Args({4, 1, 0})
     ->Args({4, 1, 2});
+
+// The fused fp64 eval kernel alone over the Anime catalogue (Table I,
+// 6,888 items) for one user: rows scored in place with the table's stride,
+// inputs scaled by 0.5 as LightGCN's item half is. Arg 0 is the width; arg
+// 1 the arm, called directly: 0 AVX2, 1 AVX-512 (skipped with an error
+// where the CPU or build lacks it, so an AVX2-only runner gates arm 0).
+void BM_FusedEvalForward(benchmark::State& state) {
+  const size_t width = static_cast<size_t>(state.range(0));
+  const bool avx512 = state.range(1) != 0;
+#ifdef HFR_HAVE_AVX2_TU
+  if (!(avx512 ? CpuSupportsAvx512() : CpuSupportsFp32Simd())) {
+    state.SkipWithError(avx512 ? "CPU lacks AVX-512F" : "CPU lacks AVX2+FMA");
+    return;
+  }
+  constexpr size_t kAnimeItems = 6888;
+  constexpr size_t kH = fp64::kFusedEvalHidden;
+  const Matrix table = RandomTable(kAnimeItems, width, 113);
+  const Matrix user = RandomTable(1, width, 127);
+  FeedForwardNet theta(2 * width, {kH, kH});
+  Rng rng(131);
+  theta.InitXavier(&rng);
+  std::vector<double> prefix(kH);
+  theta.ForwardPrefix(user.Row(0), width, prefix.data());
+  const fp64::FusedEvalNet net{
+      theta.weight(0).data().data() + width * kH,
+      theta.weight(1).data().data(), theta.bias(1).data().data(),
+      theta.weight(2).data().data(), theta.bias(2).data().data()};
+  const auto arm = avx512 ? fp64::FusedEvalForwardAvx512
+                          : fp64::FusedEvalForwardAvx2;
+  std::vector<double> logits(kAnimeItems);
+  for (auto _ : state) {
+    arm(net, prefix.data(), table.Row(0), kAnimeItems, width, width, 0.5,
+        logits.data());
+    benchmark::DoNotOptimize(logits.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kAnimeItems));
+#else
+  (void)width;
+  (void)avx512;
+  state.SkipWithError("built without the AVX2 translation unit");
+#endif
+}
+BENCHMARK(BM_FusedEvalForward)
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({32, 0})
+    ->Args({32, 1});
 
 void BM_ScorerFullCatalogue(benchmark::State& state) {
   // Cost of ranking all items for one user (the evaluation inner loop).

@@ -23,6 +23,7 @@
 #include "src/fed/sync/async_aggregator.h"
 #include "src/fed/sync/network.h"
 #include "src/fed/sync/sync_service.h"
+#include "src/math/backend.h"
 #include "src/math/eigen.h"
 #include "src/math/init.h"
 #include "src/math/stats.h"
@@ -1423,7 +1424,9 @@ class FederatedRun {
           .Bool("async", cfg_.async_mode)
           .U64("clients_per_round", cfg_.clients_per_round)
           .I64("epochs", cfg_.global_epochs)
-          .Bool("resumed", cfg_.resume_run);
+          .Bool("resumed", cfg_.resume_run)
+          .Str("compute_backend", ComputeBackendName(cfg_.compute_backend))
+          .Str("fp64_kernels", Fp64KernelTier());
       tel_->WriteRow(meta.Build());
     }
   }

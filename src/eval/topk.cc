@@ -67,12 +67,13 @@ void TopKSelector::Push(ItemId first, const double* scores, size_t n) {
     ++i;
   }
   for (; i < n; ++i) {
-    const ItemId id = static_cast<ItemId>(first + i);
-    if (mask != nullptr && (*mask)[id]) continue;
     // Hot reject: almost every item scores strictly below the current
-    // k-th best and costs exactly one compare.
+    // k-th best and costs exactly one compare, ahead of the mask's bit
+    // lookup. Both tests only filter, so their order changes nothing.
     const double s = scores[i];
     if (s < worst_) continue;
+    const ItemId id = static_cast<ItemId>(first + i);
+    if (mask != nullptr && (*mask)[id]) continue;
     if (s == worst_ && id > worst_id_) continue;
     ReplaceRoot(s, id);
   }
@@ -90,9 +91,9 @@ void TopKSelector::PushIds(const ItemId* ids, const double* scores, size_t n) {
     ++i;
   }
   for (; i < n; ++i) {
-    if (mask != nullptr && (*mask)[ids[i]]) continue;
     const double s = scores[i];
     if (s < worst_) continue;
+    if (mask != nullptr && (*mask)[ids[i]]) continue;
     if (s == worst_ && ids[i] > worst_id_) continue;
     ReplaceRoot(s, ids[i]);
   }

@@ -42,6 +42,22 @@ bool CpuSupportsFp32Simd() {
 #endif
 }
 
+bool CpuSupportsAvx512() {
+#if defined(HFR_HAVE_AVX2_TU) && (defined(__x86_64__) || defined(__i386__))
+  static const bool supported =
+      CpuSupportsFp32Simd() && __builtin_cpu_supports("avx512f");
+  return supported;
+#else
+  return false;
+#endif
+}
+
+const char* Fp64KernelTier() {
+  if (CpuSupportsAvx512()) return "avx512";
+  if (CpuSupportsFp32Simd()) return "avx2";
+  return "scalar";
+}
+
 void SetFp32SimdEnabled(bool enabled) {
   g_fp32_simd_enabled.store(enabled, std::memory_order_relaxed);
 }

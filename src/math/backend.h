@@ -11,9 +11,12 @@
 //                Not scalar-only: client training (FFN forward/backward,
 //                the DDR products) and evaluation scoring run the fp64
 //                AVX2 kernels (src/math/kernels_fp64.h) whenever
-//                CpuSupportsFp32Simd(), whatever the backend switch says —
+//                CpuSupportsFp32Simd(), and evaluation scoring runs the
+//                fused kernel's AVX-512 arm instead when
+//                CpuSupportsAvx512(), whatever the backend switch says —
 //                separate multiplies and adds in the scalar order, so the
-//                bits are the same on every CPU.
+//                bits are the same on every CPU (Fp64KernelTier() names
+//                the widest arm this process runs).
 //   fp32       — client-side compute in float with the *scalar* fp32
 //                kernels: each inner loop mirrors the SIMD algorithm
 //                lane-for-lane (std::fmaf chains and the same reduction
@@ -56,6 +59,17 @@ std::string ComputeBackendName(ComputeBackend backend);
 /// fused eval forward) dispatch on this alone; the fp32 kernels also need
 /// Fp32SimdEnabled().
 bool CpuSupportsFp32Simd();
+
+/// True when CpuSupportsFp32Simd() and the CPU reports AVX-512F (libgcc's
+/// check also requires the OS to save the zmm state). The fused fp64 eval
+/// forward's AVX-512 arm, the only AVX-512 code in the build, dispatches on
+/// this.
+bool CpuSupportsAvx512();
+
+/// The widest fp64 kernel tier this process dispatches to: "avx512" when
+/// CpuSupportsAvx512(), "avx2" when CpuSupportsFp32Simd(), else "scalar".
+/// Results-inert (every tier computes the same bits); telemetry records it.
+const char* Fp64KernelTier();
 
 /// Process-wide switch consulted by the float kernel entry points: when
 /// true (and CpuSupportsFp32Simd()), float kernels dispatch to the AVX2

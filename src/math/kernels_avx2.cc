@@ -679,6 +679,137 @@ void FusedEvalForwardAvx2(const FusedEvalNet& net, const double* prefix,
   }
 }
 
+// --- AVX-512 arm of the fused eval forward ------------------------------------
+//
+// The same per-lane steps as FusedEvalForwardAvx2 with eight rows in the
+// eight lanes of a zmm vector. The skip is an opmask: the masked add keeps
+// acc bit for bit in the lanes whose input is skipped, exactly as the
+// scalar `continue` does, so no blend and no movemask branch is needed.
+//
+// The translation unit is built for AVX2 only; this block alone targets
+// AVX-512F, and it sits inside the fp-contract=off region so that region's
+// rule holds here too. Everything defined in it runs only after
+// CpuSupportsAvx512(); nothing outside it may call into it, and no code
+// shared with the AVX2 arms may be defined in it (GCC would compile that
+// code with EVEX encodings, which fault on AVX2-only CPUs). lint_fp64_no_fma
+// fails on zmm, opmask or xmm16-31 registers in any function whose name
+// does not contain Avx512.
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+
+namespace {
+
+// In-place 8x8 transpose: afterwards v[k] holds element k of each input.
+inline void Transpose8Avx512(__m512d* v) {
+  __m512d t[8];
+  for (size_t p = 0; p < 4; ++p) {
+    t[2 * p] = _mm512_unpacklo_pd(v[2 * p], v[2 * p + 1]);
+    t[2 * p + 1] = _mm512_unpackhi_pd(v[2 * p], v[2 * p + 1]);
+  }
+  // 128-bit lanes {0, 2} and {1, 3} of each pair of rows' unpacks.
+  __m512d s[8];
+  for (size_t q = 0; q < 2; ++q) {
+    for (size_t h = 0; h < 2; ++h) {
+      const __m512d a = t[4 * q + h];
+      const __m512d b = t[4 * q + 2 + h];
+      s[4 * q + h] = _mm512_shuffle_f64x2(a, b, 0x88);
+      s[4 * q + 2 + h] = _mm512_shuffle_f64x2(a, b, 0xDD);
+    }
+  }
+  for (size_t h = 0; h < 2; ++h) {
+    v[h] = _mm512_shuffle_f64x2(s[h], s[4 + h], 0x88);
+    v[4 + h] = _mm512_shuffle_f64x2(s[h], s[4 + h], 0xDD);
+    v[2 + h] = _mm512_shuffle_f64x2(s[2 + h], s[6 + h], 0x88);
+    v[6 + h] = _mm512_shuffle_f64x2(s[2 + h], s[6 + h], 0xDD);
+  }
+}
+
+// Layer-0 step for input x (one element of each lane's row): scaled once,
+// as the assembled input is, and skipped where the scaled input is exactly
+// zero (x != 0 is unordered-true, so NaN inputs are consumed).
+inline void Layer0InputAvx512(__m512d* h0, __m512d x, const double* w,
+                              bool scaled, __m512d scale) {
+  if (scaled) x = _mm512_mul_pd(x, scale);
+  const __mmask8 live = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(),
+                                           _CMP_NEQ_UQ);
+  for (size_t j = 0; j < kH; ++j) {
+    h0[j] = _mm512_mask_add_pd(h0[j], live, h0[j],
+                               _mm512_mul_pd(x, _mm512_set1_pd(w[j])));
+  }
+}
+
+// acc[j] + x·w[j] for the N outputs fed by a ReLU output x, in the lanes
+// whose pre-activation is > 0 (ordered: NaN and ±0 are the +0 the skip
+// drops, and where a lane contributes, ReLU is the identity).
+template <size_t N>
+inline void ReluMulAddAvx512(__m512d* acc, __m512d x, const double* w) {
+  const __mmask8 live = _mm512_cmp_pd_mask(x, _mm512_setzero_pd(),
+                                           _CMP_GT_OQ);
+  for (size_t j = 0; j < N; ++j) {
+    acc[j] = _mm512_mask_add_pd(acc[j], live, acc[j],
+                                _mm512_mul_pd(x, _mm512_set1_pd(w[j])));
+  }
+}
+
+}  // namespace
+
+void FusedEvalForwardAvx512(const FusedEvalNet& net, const double* prefix,
+                            const double* x, size_t batch, size_t x_stride,
+                            size_t in_dim, double scale, double* logits) {
+  const bool scaled = scale != 1.0;
+  const __m512d scale8 = _mm512_set1_pd(scale);
+  const size_t tail = in_dim % 8;
+  const __mmask8 tail_lanes = static_cast<__mmask8>((1u << tail) - 1);
+  for (size_t b = 0; b < batch; b += 8) {
+    // Lanes past the batch end re-read the block's first row; their
+    // results are never stored. (No std:: template is instantiated in this
+    // block: an out-of-line copy compiled for AVX-512 could be shared.)
+    const size_t rows = batch - b < 8 ? batch - b : 8;
+    const double* r[8];
+    for (size_t l = 0; l < 8; ++l) {
+      r[l] = x + (b + (l < rows ? l : 0)) * x_stride;
+    }
+
+    __m512d h0[kH];
+    for (size_t j = 0; j < kH; ++j) h0[j] = _mm512_set1_pd(prefix[j]);
+    size_t i = 0;
+    for (; i + 8 <= in_dim; i += 8) {
+      __m512d c[8];
+      for (size_t l = 0; l < 8; ++l) c[l] = _mm512_loadu_pd(r[l] + i);
+      Transpose8Avx512(c);
+#pragma GCC unroll 8
+      for (size_t k = 0; k < 8; ++k) {
+        Layer0InputAvx512(h0, c[k], net.w0 + (i + k) * kH, scaled, scale8);
+      }
+    }
+    if (tail != 0) {
+      __m512d c[8];
+      for (size_t l = 0; l < 8; ++l) {
+        c[l] = _mm512_maskz_loadu_pd(tail_lanes, r[l] + i);
+      }
+      Transpose8Avx512(c);
+      for (size_t k = 0; k < tail; ++k) {
+        Layer0InputAvx512(h0, c[k], net.w0 + (i + k) * kH, scaled, scale8);
+      }
+    }
+
+    __m512d h1[kH];
+    for (size_t j = 0; j < kH; ++j) h1[j] = _mm512_set1_pd(net.b1[j]);
+    for (size_t i1 = 0; i1 < kH; ++i1) {
+      ReluMulAddAvx512<kH>(h1, h0[i1], net.w1 + i1 * kH);
+    }
+
+    __m512d out = _mm512_set1_pd(net.b2[0]);
+    for (size_t i2 = 0; i2 < kH; ++i2) {
+      ReluMulAddAvx512<1>(&out, h1[i2], net.w2 + i2);
+    }
+    _mm512_mask_storeu_pd(logits + b,
+                          static_cast<__mmask8>((1u << rows) - 1), out);
+  }
+}
+
+#pragma GCC pop_options
+
 }  // namespace fp64
 
 #pragma GCC pop_options

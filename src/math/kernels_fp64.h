@@ -1,8 +1,9 @@
-// Internal fp64 AVX2 kernels (kernels_avx2.cc, compiled only when the
+// Internal fp64 SIMD kernels (kernels_avx2.cc, compiled only when the
 // build enables the SIMD translation unit, HFR_HAVE_AVX2_TU): the AVX2 arms
 // of the fp64 training kernels behind GemvBatchResume, AccumulateOuterBatch
 // and GemvBatchTransposed (src/math/kernels.h), and the fused evaluation
-// forward of the paper's [in → 8 → 8 → 1] Θ.
+// forward of the paper's [in → 8 → 8 → 1] Θ in two arms, AVX-512 (eight
+// rows per vector) and AVX2 (four).
 //
 // Unlike the fp32 kernels (src/math/kernels_fp32.h), which use fused
 // multiply-adds, these keep fp64's separate multiply and add: they only lay
@@ -10,8 +11,9 @@
 // operations in the scalar order, exact-zero skip included. Their results
 // are therefore bit-identical to the scalar loops in kernels.cc and to
 // FeedForwardNet::Forward (pinned by tests/math/kernels_test.cc). The
-// dispatchers call them whenever CpuSupportsFp32Simd(); everywhere else the
-// scalar loops compute the same bits.
+// dispatchers call the AVX2 arms whenever CpuSupportsFp32Simd(), and
+// ForwardBatchFromPrefix prefers the AVX-512 arm when CpuSupportsAvx512();
+// everywhere else the scalar loops compute the same bits.
 #ifndef HETEFEDREC_MATH_KERNELS_FP64_H_
 #define HETEFEDREC_MATH_KERNELS_FP64_H_
 
@@ -56,6 +58,12 @@ void GemvBatchTransposedAvx2(const double* delta, size_t batch,
 void FusedEvalForwardAvx2(const FusedEvalNet& net, const double* prefix,
                           const double* x, size_t batch, size_t x_stride,
                           size_t in_dim, double scale, double* logits);
+
+/// FusedEvalForwardAvx2's contract and bits with eight rows per vector; the
+/// skip is an opmask on the add. Requires CpuSupportsAvx512().
+void FusedEvalForwardAvx512(const FusedEvalNet& net, const double* prefix,
+                            const double* x, size_t batch, size_t x_stride,
+                            size_t in_dim, double scale, double* logits);
 #endif  // HFR_HAVE_AVX2_TU
 
 }  // namespace fp64

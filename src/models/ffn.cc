@@ -155,8 +155,15 @@ void FeedForwardNetT<T>::ForwardBatchFromPrefix(const T* prefix,
                                    biases_[1].data().data(),
                                    weights_[2].data().data(),
                                    biases_[2].data().data()};
-      fp64::FusedEvalForwardAvx2(net, prefix, suffix, batch, suffix_stride,
-                                 suffix_dim, suffix_scale, logits);
+      // Widest arm first; every arm computes the per-layer chain's bits.
+      if (CpuSupportsAvx512()) {
+        fp64::FusedEvalForwardAvx512(net, prefix, suffix, batch,
+                                     suffix_stride, suffix_dim, suffix_scale,
+                                     logits);
+      } else {
+        fp64::FusedEvalForwardAvx2(net, prefix, suffix, batch, suffix_stride,
+                                   suffix_dim, suffix_scale, logits);
+      }
       return;
     }
   }

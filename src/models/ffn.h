@@ -89,9 +89,10 @@ class FeedForwardNetT {
   /// remaining layers batched. The suffix inputs are suffix_scale ·
   /// suffix[b, i]. For T = double bit-identical to ForwardBatch on the
   /// fully assembled rows (the scaled values, each rounded once); nets of
-  /// the paper's [2w → 8 → 8 → 1] shape run the fused AVX2 kernel
-  /// (src/math/kernels_fp64.h) when CpuSupportsFp32Simd(). Evaluation only
-  /// — no backward cache.
+  /// the paper's [2w → 8 → 8 → 1] shape run the fused kernel
+  /// (src/math/kernels_fp64.h): its AVX-512 arm when CpuSupportsAvx512(),
+  /// else its AVX2 arm when CpuSupportsFp32Simd(). Evaluation only — no
+  /// backward cache.
   void ForwardBatchFromPrefix(const T* prefix, const T* suffix, size_t batch,
                               size_t suffix_dim, size_t suffix_stride,
                               T* logits, T suffix_scale = T(1)) const;

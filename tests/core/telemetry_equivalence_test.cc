@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/core/trainer.h"
+#include "src/math/backend.h"
 #include "tests/core/equivalence_test_util.h"
 
 namespace hetefedrec {
@@ -168,6 +169,12 @@ TEST(TelemetryEquivalence, MetricsStreamShapeAndMonotonicity) {
   ASSERT_GT(lines.size(), 2u);
   EXPECT_NE(lines[0].find("\"type\":\"meta\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"version\":1"), std::string::npos);
+  // The meta row names the numeric backend and the fp64 kernel tier.
+  EXPECT_NE(lines[0].find("\"compute_backend\":\"fp64\""),
+            std::string::npos);
+  EXPECT_NE(lines[0].find(std::string("\"fp64_kernels\":\"") +
+                          Fp64KernelTier() + "\""),
+            std::string::npos);
 
   double prev_round = 0.0, prev_clock = 0.0;
   size_t rounds = 0, evals = 0, summaries = 0;

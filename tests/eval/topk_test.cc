@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -52,6 +53,25 @@ std::vector<ItemId> StreamInBlocks(TopKSelector* sel,
   return out;
 }
 
+// The same session through PushIds, with every id listed explicitly.
+std::vector<ItemId> StreamIdsInBlocks(TopKSelector* sel,
+                                      const std::vector<double>& scores,
+                                      const std::vector<bool>& masked,
+                                      size_t k, Rng* rng) {
+  std::vector<ItemId> ids(scores.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<ItemId>(i);
+  sel->Begin(k, &masked);
+  size_t first = 0;
+  while (first < scores.size()) {
+    size_t bs = 1 + rng->UniformInt(scores.size() - first);
+    sel->PushIds(ids.data() + first, scores.data() + first, bs);
+    first += bs;
+  }
+  std::vector<ItemId> out;
+  sel->Finish(&out);
+  return out;
+}
+
 TEST(TopKSelectorTest, AllPathsMatchReferenceOnRandomizedHeavyTies) {
   Rng rng(1234);
   TopKSelector sel;  // one instance across all cases: scratch must reset
@@ -59,9 +79,12 @@ TEST(TopKSelectorTest, AllPathsMatchReferenceOnRandomizedHeavyTies) {
     const size_t n = 1 + rng.UniformInt(400);
     std::vector<double> scores(n);
     for (auto& s : scores) {
-      // Quantized scores: ~8 distinct values over up to 400 items forces
-      // long tie runs, so id tie-breaking decides most of the list.
-      s = static_cast<double>(rng.UniformInt(8)) * 0.125;
+      // Quantized scores: ~9 distinct values over up to 400 items forces
+      // long tie runs, so id tie-breaking decides most of the list; the
+      // top value is +Inf.
+      const uint64_t level = rng.UniformInt(9);
+      s = level == 8 ? std::numeric_limits<double>::infinity()
+                     : static_cast<double>(level) * 0.125;
     }
     std::vector<bool> masked(n, false);
     // Masked prefix (the shape train-item masking produces for the dense
@@ -69,22 +92,34 @@ TEST(TopKSelectorTest, AllPathsMatchReferenceOnRandomizedHeavyTies) {
     const size_t prefix = rng.UniformInt(n);
     for (size_t i = 0; i < prefix; ++i) masked[i] = true;
     for (size_t i = prefix; i < n; ++i) masked[i] = rng.UniformInt(7) == 0;
+    // A mask over the high scorers: about half of the items scoring at or
+    // above a random level (+Inf included) are hidden, so masked items sit
+    // at, above and tied with the running k-th best while the heap streams.
+    const double high = static_cast<double>(rng.UniformInt(8)) * 0.125;
+    std::vector<bool> masked_high(n, false);
+    for (size_t i = 0; i < n; ++i) {
+      masked_high[i] = scores[i] >= high && rng.UniformInt(2) == 0;
+    }
 
-    for (size_t k : {size_t{1}, size_t{7}, n, n + 5}) {
-      SCOPED_TRACE(testing::Message() << "rep " << rep << " n " << n
-                                      << " k " << k);
-      std::vector<ItemId> expect = FullRanking(scores, masked, k);
+    for (const std::vector<bool>* mask : {&masked, &masked_high}) {
+      for (size_t k : {size_t{1}, size_t{7}, n, n + 5}) {
+        SCOPED_TRACE(testing::Message() << "rep " << rep << " n " << n
+                                        << " k " << k << " high mask "
+                                        << (mask == &masked_high));
+        std::vector<ItemId> expect = FullRanking(scores, *mask, k);
 
-      std::vector<ItemId> heap;
-      sel.SelectMasked(scores, masked, k, &heap);
-      EXPECT_EQ(heap, expect);
+        std::vector<ItemId> heap;
+        sel.SelectMasked(scores, *mask, k, &heap);
+        EXPECT_EQ(heap, expect);
 
-      std::vector<ItemId> ref;
-      sel.SelectMaskedReference(scores, masked, k, &ref);
-      EXPECT_EQ(ref, expect);
+        std::vector<ItemId> ref;
+        sel.SelectMaskedReference(scores, *mask, k, &ref);
+        EXPECT_EQ(ref, expect);
 
-      EXPECT_EQ(StreamInBlocks(&sel, scores, masked, k, &rng), expect);
-      EXPECT_EQ(TopKItems(scores, masked, k), expect);
+        EXPECT_EQ(StreamInBlocks(&sel, scores, *mask, k, &rng), expect);
+        EXPECT_EQ(StreamIdsInBlocks(&sel, scores, *mask, k, &rng), expect);
+        EXPECT_EQ(TopKItems(scores, *mask, k), expect);
+      }
     }
   }
 }

@@ -10,7 +10,10 @@ tests/lint/fixtures/ and asserts, per rule R1-R5:
   - suppressions with reasons silence findings, reasonless suppressions are
     themselves findings and silence nothing;
   - the R3 owned-declaration check applies under src/ but not under tests/;
-  - R5 covers C++ optimize pragmas/attributes as well as CMake flags;
+  - R5 covers C++ optimize and target pragmas/attributes as well as CMake
+    flags;
+  - check_fp64_no_fma.py's AVX-512 leak scan flags EVEX registers only in
+    functions that are not Avx512 arms;
   - baselined findings do not fail the run, and the JSON output reports
     them separately;
   - --list-rules names all five rules.
@@ -79,6 +82,7 @@ def main():
             ("r4_bad.cc", "R4", 4),
             ("r5_bad.cmake", "R5", 5),
             ("r5_bad_pragma.cc", "R5", 7),
+            ("r5_bad_target.cc", "R5", 8),
         ]
         for name, rule, expected in bad_cases:
             rc, data, err = run_lint([fixture(name)], baseline=bl)
@@ -95,7 +99,8 @@ def main():
 
         # --- good fixtures: clean ----------------------------------------
         good = ["r1_good.cc", "r1_suppressed.cc", "r2_good.cc", "r3_good.cc",
-                "r4_good.cc", "r5_good.cmake", "r5_good_pragma.cc"]
+                "r4_good.cc", "r5_good.cmake", "r5_good_pragma.cc",
+                "r5_good_target.cc"]
         for name in good:
             rc, data, err = run_lint([fixture(name)], baseline=bl)
             findings = data.get("findings", [])
@@ -156,6 +161,29 @@ def main():
             shipped = json.load(f)
         check(shipped.get("findings") == [],
               "shipped tools/lint/baseline.json is empty")
+
+        # --- AVX-512 leak scan of the SIMD kernel object ----------------
+        sys.dont_write_bytecode = True
+        sys.path.insert(0, os.path.join(REPO_ROOT, "tools", "lint"))
+        import check_fp64_no_fma  # noqa: E402 (path set just above)
+        disasm = "\n".join([
+            "0000000000000000 <_ZN10hetefedrec4fp6420FusedEvalForwardAvx2E>:",
+            "   0:\tc5 fd 58 c1          \tvaddpd %ymm1,%ymm0,%ymm0",
+            "0000000000000040 <_ZN10hetefedrec4fp6422FusedEvalForwardAvx512E>:",
+            "  40:\t62 f1 fd 49 58 c1    \tvaddpd %zmm1,%zmm0,%zmm0{%k1}",
+            "0000000000000080 <_ZN10hetefedrec4fp6412_GLOBAL__N_14LeakE>:",
+            "  80:\t62 e1 fd 28 58 c1    \tvaddpd %ymm17,%ymm0,%ymm16",
+            "00000000000000c0 <_ZN10hetefedrec4fp6412_GLOBAL__N_14MaskE>:",
+            "  c0:\tc5 f8 90 c9          \tkmovw %k1,%k1",
+            "0000000000000100 <_ZN10hetefedrec4fp3219GemvBatchResumeAvx2E>:",
+            "  100:\tc5 fd 58 c1         \tvaddpd %ymm15,%ymm0,%ymm0",
+        ])
+        leaks = check_fp64_no_fma.avx512_leaks(disasm)
+        check(sorted(leaks) == [
+            "_ZN10hetefedrec4fp6412_GLOBAL__N_14LeakE",
+            "_ZN10hetefedrec4fp6412_GLOBAL__N_14MaskE"],
+              "check_fp64_no_fma: EVEX registers outside Avx512 arms only",
+              json.dumps(leaks, indent=1))
 
         # --- rule catalogue ----------------------------------------------
         proc = subprocess.run([sys.executable, LINT, "--list-rules"],

@@ -369,12 +369,12 @@ TEST(Fp32DispatchTest, ActivateBackendFallsBackGracefully) {
 }
 
 // --- fp64 fused evaluation kernel ------------------------------------------
-// The AVX2 arm, and ForwardBatchFromPrefix which dispatches to it (or runs
-// the per-layer chain without AVX2), must reproduce FeedForwardNet::Forward
-// on the assembled rows [user | scale · x] bit for bit — including the sign
-// of zeros, the exact-zero skip in front of ±Inf weights, and NaN/Inf
-// propagation. A build that contracts the kernel's multiply and add into
-// FMAs fails here.
+// The AVX-512 and AVX2 arms, and ForwardBatchFromPrefix which dispatches to
+// the widest one the CPU has (or runs the per-layer chain without AVX2),
+// must reproduce FeedForwardNet::Forward on the assembled rows
+// [user | scale · x] bit for bit — including the sign of zeros, the
+// exact-zero skip in front of ±Inf weights, and NaN/Inf propagation. A
+// build that contracts the kernel's multiply and add into FMAs fails here.
 
 using fp64::kFusedEvalHidden;
 
@@ -427,10 +427,13 @@ std::vector<double> MakeFusedRows(size_t width, size_t batch, size_t stride,
   return x;
 }
 
-// Runs `score` over widths {1,5,8,16,32} × batches {1..9,127,128,1024} ×
-// scale {1,0.5} × plain/special nets and checks every logit's bit pattern.
-void ExpectMatchesForwardBitForBit(const FusedScoreFn& score) {
-  std::vector<size_t> batches = {1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 128, 1024};
+// Runs `score` over widths {1,5,8,16,32} × batches {1..9,15,16,17,127,128,
+// 1024} × scale {1,0.5} × plain/special nets and checks every logit's bit
+// pattern against Forward and, when given, against the `twin` arm's.
+void ExpectMatchesForwardBitForBit(const FusedScoreFn& score,
+                                   const FusedScoreFn& twin = nullptr) {
+  std::vector<size_t> batches = {1,  2,  3,   4,   5,  6, 7, 8, 9,
+                                 15, 16, 17, 127, 128, 1024};
   for (size_t width : {size_t{1}, size_t{5}, size_t{8}, size_t{16},
                        size_t{32}}) {
     for (bool specials : {false, true}) {
@@ -453,14 +456,27 @@ void ExpectMatchesForwardBitForBit(const FusedScoreFn& score) {
             }
             ref[b] = net.Forward(row.data(), nullptr);
           }
-          std::vector<double> got(batch, 42.0);
+          // One slot past the batch guards against stores beyond it.
+          std::vector<double> got(batch + 1, 42.0);
           score(net, prefix.data(), x.data(), batch, stride, width, scale,
                 got.data());
+          ASSERT_EQ(got[batch], 42.0) << "stored past the batch";
+          std::vector<double> other(batch, 43.0);
+          if (twin) {
+            twin(net, prefix.data(), x.data(), batch, stride, width, scale,
+                 other.data());
+          }
           for (size_t b = 0; b < batch; ++b) {
             ASSERT_EQ(Bits(got[b]), Bits(ref[b]))
                 << "width=" << width << " batch=" << batch
                 << " scale=" << scale << " specials=" << specials
                 << " b=" << b << " got=" << got[b] << " ref=" << ref[b];
+            if (twin) {
+              ASSERT_EQ(Bits(got[b]), Bits(other[b]))
+                  << "vs twin arm: width=" << width << " batch=" << batch
+                  << " scale=" << scale << " specials=" << specials
+                  << " b=" << b;
+            }
           }
         }
       }
@@ -468,20 +484,43 @@ void ExpectMatchesForwardBitForBit(const FusedScoreFn& score) {
   }
 }
 
+#ifdef HFR_HAVE_AVX2_TU
+// The kernel's view of a [2w → 8 → 8 → 1] net scoring the item half.
+fp64::FusedEvalNet FusedView(const FeedForwardNet& net, size_t width) {
+  return fp64::FusedEvalNet{
+      net.weight(0).data().data() + width * kFusedEvalHidden,
+      net.weight(1).data().data(), net.bias(1).data().data(),
+      net.weight(2).data().data(), net.bias(2).data().data()};
+}
+
+void ScoreAvx2Arm(const FeedForwardNet& net, const double* prefix,
+                  const double* x, size_t batch, size_t stride, size_t width,
+                  double scale, double* logits) {
+  fp64::FusedEvalForwardAvx2(FusedView(net, width), prefix, x, batch, stride,
+                             width, scale, logits);
+}
+
+void ScoreAvx512Arm(const FeedForwardNet& net, const double* prefix,
+                    const double* x, size_t batch, size_t stride,
+                    size_t width, double scale, double* logits) {
+  fp64::FusedEvalForwardAvx512(FusedView(net, width), prefix, x, batch,
+                               stride, width, scale, logits);
+}
+#endif  // HFR_HAVE_AVX2_TU
+
 TEST(FusedEvalForwardTest, Avx2ArmMatchesForwardBitForBit) {
 #ifdef HFR_HAVE_AVX2_TU
   if (!CpuSupportsFp32Simd()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
-  ExpectMatchesForwardBitForBit([](const FeedForwardNet& net,
-                                   const double* prefix, const double* x,
-                                   size_t batch, size_t stride, size_t width,
-                                   double scale, double* logits) {
-    const fp64::FusedEvalNet view{
-        net.weight(0).data().data() + width * kFusedEvalHidden,
-        net.weight(1).data().data(), net.bias(1).data().data(),
-        net.weight(2).data().data(), net.bias(2).data().data()};
-    fp64::FusedEvalForwardAvx2(view, prefix, x, batch, stride, width, scale,
-                               logits);
-  });
+  ExpectMatchesForwardBitForBit(ScoreAvx2Arm);
+#else
+  GTEST_SKIP() << "built without the AVX2 translation unit";
+#endif
+}
+
+TEST(FusedEvalForwardTest, Avx512ArmMatchesForwardAndAvx2ArmBitForBit) {
+#ifdef HFR_HAVE_AVX2_TU
+  if (!CpuSupportsAvx512()) GTEST_SKIP() << "CPU lacks AVX-512F";
+  ExpectMatchesForwardBitForBit(ScoreAvx512Arm, ScoreAvx2Arm);
 #else
   GTEST_SKIP() << "built without the AVX2 translation unit";
 #endif

@@ -20,6 +20,10 @@ The threshold is deliberately loose: CI machines are noisy and shared, so
 this guards against step-change regressions (an accidentally quadratic
 loop, a lost fast path), not percentage drift. Aggregate entries
 (_mean/_median/_stddev) and per-iteration counters are ignored.
+
+A benchmark that skipped itself with an error (`error_occurred`, e.g. an
+AVX-512 arm on a CPU without AVX-512) reports a cpu_time of 0; it is
+printed as SKIPPED and never compared, and it does not count as missing.
 """
 
 import json
@@ -29,31 +33,37 @@ _UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load(path):
+    """({name: cpu_ns}, {name: error message}) of a benchmark JSON file."""
     with open(path) as f:
         data = json.load(f)
-    out = {}
+    out, skipped = {}, {}
     for b in data.get("benchmarks", []):
         name = b.get("name", "")
         if b.get("run_type") == "aggregate" or name.endswith(
             ("_mean", "_median", "_stddev", "_cv")
         ):
             continue
+        if b.get("error_occurred"):
+            skipped[name] = b.get("error_message", "")
+            continue
         out[name] = b["cpu_time"] * _UNIT_NS[b.get("time_unit", "ns")]
-    return out
+    return out, skipped
 
 
 def main(argv):
     if len(argv) < 3:
         print(__doc__)
         return 2
-    current = load(argv[1])
-    baseline = load(argv[2])
+    current, skipped = load(argv[1])
+    baseline, _ = load(argv[2])
     threshold = float(argv[3]) if len(argv) > 3 else 1.5
 
-    if not current:
+    if not current and not skipped:
         print(f"ERROR: no benchmarks parsed from {argv[1]}")
         return 1
 
+    for name, message in sorted(skipped.items()):
+        print(f"  SKIPPED  {name}: {message}")
     failures = []
     for name, cpu_ns in sorted(current.items()):
         base_ns = baseline.get(name)
@@ -69,7 +79,7 @@ def main(argv):
         if ratio > threshold:
             failures.append((name, ratio))
 
-    missing = sorted(set(baseline) - set(current))
+    missing = sorted(set(baseline) - set(current) - set(skipped))
     if missing:
         print(
             f"\nFAIL: {len(missing)} baseline benchmark(s) missing from the "

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fails when the AVX2 kernel object contains an fp64 fused multiply-add.
+"""Fails when the SIMD kernel object contains an fp64 fused multiply-add or
+leaks AVX-512 code outside its AVX-512 arms.
 
 Usage:
     check_fp64_no_fma.py OBJECT [OBJECT ...]
@@ -13,8 +14,15 @@ kernels_avx2; other arguments are ignored, so a target's whole object list
 can be passed, ;-joined or not) and counts vf[n]m{add,sub}*{pd,sd} instructions: any is a
 failure. fp32 FMAs (ps/ss) are expected and only reported.
 
-Exit codes: 0 clean, 1 fp64 FMA found or object missing, 77 (skip) when
-objdump is not installed.
+The same object holds the fused eval kernel's AVX-512 arm, compiled under
+`#pragma GCC target("avx512f")` and run only on CPUs that have it. Code
+anywhere else in the object must run on AVX2-only CPUs, so a function whose
+symbol does not contain `Avx512` must not touch a zmm register, an opmask
+register (%k0-%k7) or xmm16-31/ymm16-31 (EVEX-only encodings): any such
+function is a failure.
+
+Exit codes: 0 clean, 1 fp64 FMA or AVX-512 leak found or object missing,
+77 (skip) when objdump is not installed.
 """
 
 import re
@@ -24,6 +32,26 @@ import sys
 
 FP64_FMA = re.compile(r"\bvfn?m(?:add|sub)\w*(?:pd|sd)\b")
 FP32_FMA = re.compile(r"\bvfn?m(?:add|sub)\w*(?:ps|ss)\b")
+# Registers only EVEX (AVX-512) code can name, in objdump's AT&T syntax.
+EVEX_REGISTER = re.compile(r"%(?:zmm\d+|k[0-7]\b|[xy]mm(?:1[6-9]|2\d|3[01])\b)")
+FUNCTION_HEADER = re.compile(r"^[0-9a-f]+ <(.+)>:$")
+AVX512_ARM = "Avx512"
+
+
+def avx512_leaks(disasm):
+    """{symbol: first offending line} for non-Avx512 functions using EVEX
+    registers."""
+    leaks = {}
+    symbol = None
+    for line in disasm.splitlines():
+        header = FUNCTION_HEADER.match(line)
+        if header:
+            symbol = header.group(1)
+            continue
+        if (symbol is not None and AVX512_ARM not in symbol
+                and symbol not in leaks and EVEX_REGISTER.search(line)):
+            leaks[symbol] = line.strip()
+    return leaks
 
 
 def main(argv):
@@ -42,10 +70,14 @@ def main(argv):
     fp64 = [line.strip() for line in disasm.splitlines()
             if FP64_FMA.search(line)]
     fp32 = sum(1 for line in disasm.splitlines() if FP32_FMA.search(line))
-    print(f"{objects[0]}: {len(fp64)} fp64 FMA, {fp32} fp32 FMA")
+    leaks = avx512_leaks(disasm)
+    print(f"{objects[0]}: {len(fp64)} fp64 FMA, {fp32} fp32 FMA, "
+          f"{len(leaks)} non-{AVX512_ARM} function(s) with AVX-512 registers")
     for line in fp64[:20]:
         print("  " + line)
-    return 1 if fp64 else 0
+    for symbol, line in sorted(leaks.items()):
+        print(f"  AVX-512 outside an {AVX512_ARM} arm: {symbol}: {line}")
+    return 1 if fp64 or leaks else 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ to break in C++:
                        ordering — thread identity and addresses vary run-to-run
   R5 fast-math         no reassociation flags in any CMake target; AVX2 TUs
                        stay -mavx2 -mfma only; in C++, `#pragma GCC optimize`
-                       and `optimize` attributes may only say fp-contract=off
+                       and `optimize` attributes may only say fp-contract=off,
+                       and `#pragma GCC target` / `target` attributes may
+                       only name ISA extensions (no arch=, tune=, fpmath=)
 
 Suppressions (mandatory reason, checked non-empty):
 
@@ -111,7 +113,10 @@ RULES = {
         "In C++, `#pragma GCC optimize(...)` and "
         "`__attribute__((optimize(...)))` may only turn contraction off "
         "(fp-contract=off); any other option, fast-math, associative-math, "
-        "fp-contract=fast and Ofast included, is a finding.",
+        "fp-contract=fast and Ofast included, is a finding. "
+        "`#pragma GCC target(...)` and `target` attributes may only name "
+        "ISA extensions (e.g. avx512f); arch=, tune=, fpmath= and any "
+        "other option are findings.",
     ),
 }
 
@@ -348,6 +353,41 @@ def optimize_option_problem(raw_line):
             "sanctioned".format(bad))
 
 
+# R5 in C++: per-function ISA overrides. Enabling an instruction set for one
+# region is how the AVX-512 arm lives in the AVX2 translation unit; anything
+# beyond ISA names (arch=, tune=, fpmath=387, ...) changes code generation
+# for the region and is not sanctioned.
+TARGET_DIRECTIVE_RE = re.compile(
+    r"#\s*pragma\s+GCC\s+target\b|"
+    r"__attribute__\s*\(\s*\(\s*(?:__)?target(?:__)?\s*\(|"
+    r"\bgnu::(?:__)?target(?:__)?\s*\(")
+TARGET_ARGS_RE = re.compile(r"\b(?:__)?target(?:__)?\s*\(([^()]*)\)")
+ISA_EXTENSIONS = {
+    "sse", "sse2", "sse3", "ssse3", "sse4", "sse4.1", "sse4.2", "sse4a",
+    "avx", "avx2", "fma", "f16c", "bmi", "bmi2", "popcnt", "lzcnt",
+    "movbe", "pclmul", "aes", "sha", "gfni", "vpclmulqdq", "vaes",
+    "avxvnni", "avx512f", "avx512vl", "avx512bw", "avx512dq", "avx512cd",
+    "avx512ifma", "avx512vbmi", "avx512vbmi2", "avx512vnni",
+    "avx512bitalg", "avx512vpopcntdq", "avx512bf16", "avx512fp16",
+}
+
+
+def target_option_problem(raw_line):
+    """Why a target pragma/attribute on `raw_line` breaks R5, or None."""
+    m = TARGET_ARGS_RE.search(raw_line)
+    options = []
+    if m:
+        for literal in re.findall(r'"([^"]*)"', m.group(1)):
+            options.extend(o.strip() for o in literal.split(","))
+    if not options:
+        return "target override without a literal option list"
+    bad = [o for o in options if o not in ISA_EXTENSIONS]
+    if not bad:
+        return None
+    return ("target override {} — only ISA-extension names are "
+            "sanctioned (no arch=, tune=, fpmath=)".format(bad))
+
+
 def find_unordered_names(clean_lines):
     """Names declared in this file as owned unordered containers, including
     elements of vectors-of-unordered (`vector<unordered_set<T>> name`)."""
@@ -407,6 +447,10 @@ def scan_cxx_file(relpath, raw_lines, in_src):
                 break
         if "optimize" in line and OPTIMIZE_DIRECTIVE_RE.search(line):
             problem = optimize_option_problem(raw_lines[i - 1])
+            if problem:
+                emit(i, "R5", problem)
+        if "target" in line and TARGET_DIRECTIVE_RE.search(line):
+            problem = target_option_problem(raw_lines[i - 1])
             if problem:
                 emit(i, "R5", problem)
         if "unordered_" in line and in_src:

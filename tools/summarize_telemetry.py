@@ -128,6 +128,9 @@ def render(rows):
     print(f"run: method={meta.get('method')} dataset={meta.get('dataset')} "
           f"seed={meta.get('seed')} async={meta.get('async')} "
           f"epochs={meta.get('epochs')}")
+    # Streams written before these fields existed print "-".
+    print(f"compute: backend={meta.get('compute_backend', '-')} "
+          f"fp64_kernels={meta.get('fp64_kernels', '-')}")
 
     rounds = [r for r in rows if r["type"] == "round"]
     if rounds:
