@@ -5,7 +5,9 @@
 //
 // `RunDigest` folds the same fields (plus the run-level ones the sharding
 // suite compares) into one 64-bit value, so a run can be pinned against a
-// recorded golden instead of a second live code path.
+// recorded golden instead of a second live code path. `CountersDigest`,
+// `MetricsStreamDigest` and `Fnv1a` do the same for the comm/fault
+// counters, the metrics JSONL and the trace file.
 #ifndef HETEFEDREC_TESTS_CORE_EQUIVALENCE_TEST_UTIL_H_
 #define HETEFEDREC_TESTS_CORE_EQUIVALENCE_TEST_UTIL_H_
 
@@ -14,7 +16,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include "src/core/trainer.h"
 #include "src/eval/evaluator.h"
@@ -49,6 +54,8 @@ inline void Mix(uint64_t word, uint64_t* h) {
   }
 }
 
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
 }  // namespace digest_internal
 
 /// FNV-1a 64 over the bit patterns of every field a sharding-equivalence
@@ -58,7 +65,7 @@ inline void Mix(uint64_t word, uint64_t* h) {
 inline uint64_t RunDigest(const ExperimentResult& r) {
   using digest_internal::Bits;
   using digest_internal::Mix;
-  uint64_t h = 0xcbf29ce484222325ull;
+  uint64_t h = digest_internal::kFnvOffset;
   Mix(Bits(r.final_eval.overall.recall), &h);
   Mix(Bits(r.final_eval.overall.ndcg), &h);
   Mix(static_cast<uint64_t>(r.final_eval.overall.users), &h);
@@ -94,6 +101,53 @@ inline std::string RunDigestFields(const ExperimentResult& r) {
                 r.simulated_seconds);
   out += buf;
   return out;
+}
+
+/// FNV-1a 64 over `bytes`.
+inline uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = digest_internal::kFnvOffset;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// FNV-1a 64 over `CommStats::ExportCounters()`: every traffic and fault
+/// counter, each word least significant byte first.
+inline uint64_t CountersDigest(const CommStats& comm) {
+  uint64_t h = digest_internal::kFnvOffset;
+  for (const uint64_t word : comm.ExportCounters()) {
+    digest_internal::Mix(word, &h);
+  }
+  return h;
+}
+
+/// FNV-1a 64 over a metrics JSONL stream without its "meta" row (it names
+/// the host's fp64 kernel tier) and its "profile" rows (wall times). Every
+/// kept line contributes its bytes plus the newline.
+inline uint64_t MetricsStreamDigest(const std::string& jsonl) {
+  std::string kept;
+  size_t start = 0;
+  while (start < jsonl.size()) {
+    size_t end = jsonl.find('\n', start);
+    if (end == std::string::npos) end = jsonl.size();
+    const std::string line = jsonl.substr(start, end - start);
+    if (line.find("\"type\":\"meta\"") == std::string::npos &&
+        line.find("\"type\":\"profile\"") == std::string::npos) {
+      kept += line;
+      kept += '\n';
+    }
+    start = end + 1;
+  }
+  return Fnv1a(kept);
+}
+
+/// The whole file at `path` ("" when it cannot be opened).
+inline std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace hetefedrec
