@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -59,7 +58,7 @@ struct RunMetrics {
   Counter* dropped = nullptr;
   Counter* down_scalars = nullptr;
   Counter* up_scalars = nullptr;
-  // Delta-sync row flow (incremented live in AccountDownload).
+  // Delta-sync row flow (incremented live in Arrive).
   Counter* rows_subscribed = nullptr;
   Counter* rows_shipped = nullptr;
   // Server progress.
@@ -260,18 +259,49 @@ MethodSetup BuildSetup(const ExperimentConfig& cfg, Method method) {
   return s;
 }
 
-/// \brief One federated run: the shared executor core plus two schedules.
+/// One client's participation, from selection to merge: the record every
+/// step of the pipeline reads and writes.
+struct Participation {
+  UserId user = 0;
+  /// Salts the participation's online, fault, latency and corruption
+  /// draws: the round id under sync rounds, the dispatch sequence number
+  /// under async.
+  uint64_t key = 0;
+  FaultKind fault = FaultKind::kNone;
+  LocalUpdateResult update;
+  double seconds = 0.0;  // simulated download + compute + upload time
+  /// Which records of a sync round merge. Every record merges unless
+  /// over-selection ranks it out as a straggler or its upload is lost.
+  enum class Fate : uint8_t { kMerge, kStraggler, kLost };
+  Fate fate = Fate::kMerge;
+};
+
+/// \brief One federated run: one participation pipeline, two schedules.
 ///
-/// Both schedules drive the same per-client machinery — dispatch (download
-/// accounting + local training), simulated completion timing, merge,
-/// distillation, evaluation — and differ only in *when* merges happen:
+/// Every client participation passes the same steps, each written once:
 ///
-///   SyncEpoch  — the paper's synchronous protocol, i.e. the degenerate
-///     schedule of the event loop: a whole batch dispatches at one virtual
-///     instant, a barrier closes the round (duration = the slowest merged
-///     completion), merges land in batch order and the version advances
-///     once per round. Bit-identical to the pre-async implementation.
-///   AsyncEpoch — merge-on-arrival through AsyncAggregator: dispatches
+///   select  — the dispatch filter: excluded group, client gate, online
+///             draw, fault draw, download loss (Select);
+///   train   — local training, one ParallelFor per chunk (TrainAndMerge);
+///             the chunk is one record when the pool has no workers, so a
+///             single update is live, and the whole batch otherwise;
+///   arrive  — non-finite step count, download accounting and delta sync,
+///             simulated transfer time (Arrive);
+///   resolve — upload faults: crash and loss retry after backoff,
+///             duplicates count, corruption lands (ResolveUpload);
+///   merge   — admission, the merge itself, and the verdict's bookkeeping
+///             (OnMerged / OnRejected).
+///
+/// The schedules differ only in when the merge step runs:
+///
+///   SyncEpoch  — the paper's synchronous protocol: a batch dispatches at
+///     one virtual instant and merges in batch order at a barrier that
+///     closes the round (duration = the slowest merged completion); the
+///     version advances once per round. Over-selection (straggler slack or
+///     a round deadline) is a rule for which records merge: rank by
+///     (simulated finish, batch index), then apply the quota and the
+///     deadline (RankForMerge).
+///   AsyncEpoch — merge on arrival through AsyncAggregator: dispatches
 ///     fill free in-flight slots, completions merge strictly in virtual
 ///     completion-time order with staleness weighting w(s) = 1/(1+s)^alpha,
 ///     and the version advances once per merge (docs/SYNC.md).
@@ -519,17 +549,28 @@ class FederatedRun {
   }
 
  private:
-  /// Local training of one client against the current server tables.
-  void TrainOne(UserId u, size_t slot_idx, LocalUpdateResult* out) {
+  using Fate = Participation::Fate;
+
+  size_t SlotOf(UserId u) const {
+    return setup_.slot_of_group[static_cast<int>(clients_[u].group)];
+  }
+  const std::vector<LocalTaskSpec>& TasksOf(UserId u) const {
+    return setup_.tasks_of_group[static_cast<int>(clients_[u].group)];
+  }
+
+  /// Local training of one record against the current server tables,
+  /// with the crash fault applied: the device ran (its RNG stream advances,
+  /// so a resumed run replays the identical draw) but the local work is
+  /// lost — the private embedding reverts, and the update is discarded at
+  /// resolve time. Client-local, so parallel-safe.
+  void Train(Participation* p, size_t slot_idx) {
     HFR_PROFILE("train");
-    ClientState& client = clients_[u];
+    ClientState& client = clients_[p->user];
     const int g = static_cast<int>(client.group);
     const auto& tasks = setup_.tasks_of_group[g];
     std::vector<const FeedForwardNet*> thetas;
     thetas.reserve(tasks.size());
-    for (const auto& task : tasks) {
-      thetas.push_back(&server_->theta(task.slot));
-    }
+    for (const auto& task : tasks) thetas.push_back(&server_->theta(task.slot));
 
     LocalTrainerOptions lopt;
     lopt.local_epochs = cfg_.local_epochs;
@@ -543,65 +584,12 @@ class FederatedRun {
     lopt.sparse_comm_accounting = cfg_.sparse_comm_accounting;
     lopt.backend = cfg_.compute_backend;
 
-    size_t slot = setup_.slot_of_group[g];
-    *out = trainers_[slot_idx]->Train(&client, server_->table(slot), thetas,
-                                      setup_.tasks_of_group[g], lopt);
-  }
-
-  /// Download accounting for one trained client, in deterministic dispatch
-  /// order (the replica commit must be deterministic). Returns the scalars
-  /// the active protocol actually ships down; also records CommStats.
-  size_t AccountDownload(UserId u, const LocalUpdateResult& update) {
-    HFR_PROFILE("sync");
-    const size_t slot =
-        setup_.slot_of_group[static_cast<int>(clients_[u].group)];
-    const Matrix& table = server_->table(slot);
-    // update.params_down is the dense accounting: |V| + |Θ...|.
-    const size_t theta_params = update.params_down - table.size();
-    size_t shipped = update.params_down;
-    if (delta_sync_ && update.sparse) {
-      SyncPlan plan = sync_->Sync(u, slot, update.read_rows, table,
-                                  server_->versions(), theta_params);
-      shipped = plan.params;
-      if (tel_) {
-        metrics_.rows_subscribed->Add(plan.subscribed_rows);
-        metrics_.rows_shipped->Add(plan.shipped_rows);
-      }
-    }
-    result_.comm.RecordDownload(
-        clients_[u].group,
-        cfg_.sparse_comm_accounting ? shipped : update.params_down);
-    return shipped;
-  }
-
-  /// Merges one accepted update into the open round's accumulators.
-  void MergeOne(UserId u, const LocalUpdateResult& update) {
-    HFR_PROFILE("merge");
-    result_.comm.RecordUpload(clients_[u].group, update.params_up);
-    loss_sum_ += update.train_loss;
-    loss_count_++;
-    double weight =
-        cfg_.aggregation == AggregationMode::kDataWeighted
-            ? static_cast<double>(dataset_.TrainItems(u).size())
-            : 1.0;
-    server_->UploadDelta(
-        setup_.tasks_of_group[static_cast<int>(clients_[u].group)], update,
-        weight);
-  }
-
-  /// Local training with the crash fault applied: the device ran (its RNG
-  /// stream advances, so a resumed run replays the identical draw) but the
-  /// local work is lost — the private embedding reverts, and the update is
-  /// discarded at resolve time. Client-local, so parallel-safe.
-  void TrainOneFaulted(UserId u, size_t slot_idx, FaultKind fk,
-                       LocalUpdateResult* out) {
-    if (fk != FaultKind::kCrash) {
-      TrainOne(u, slot_idx, out);
-      return;
-    }
-    Matrix saved = clients_[u].user_embedding;
-    TrainOne(u, slot_idx, out);
-    clients_[u].user_embedding = std::move(saved);
+    const bool crash = p->fault == FaultKind::kCrash;
+    Matrix saved;
+    if (crash) saved = client.user_embedding;
+    p->update = trainers_[slot_idx]->Train(
+        &client, server_->table(setup_.slot_of_group[g]), thetas, tasks, lopt);
+    if (crash) client.user_embedding = std::move(saved);
   }
 
   /// Schedules a failed transfer's retry: capped exponential backoff on the
@@ -617,92 +605,258 @@ class FederatedRun {
     queue_->Requeue(u);
   }
 
-  /// Admission gate in front of MergeOne: rejected updates quarantine the
-  /// client; accepted ones clear its failure streak. Returns true iff the
-  /// update merged.
-  bool TryMerge(UserId u, LocalUpdateResult* update, double now) {
-    if (server_->admission_enabled()) {
-      const AdmissionDecision decision = server_->Admit(
-          setup_.tasks_of_group[static_cast<int>(clients_[u].group)], update);
-      FaultStats* f = result_.comm.mutable_faults();
-      f->rows_clipped += decision.rows_clipped;
-      if (decision.verdict != AdmissionVerdict::kAccept) {
-        if (decision.verdict == AdmissionVerdict::kRejectNonFinite) {
-          f->rejected_nonfinite++;
-          TraceFault("reject_nonfinite", "admission", u, now);
+  // --- the participation pipeline: select → train → resolve → merge ------
+
+  /// Select: the dispatch filter. Excluded groups never train ("All
+  /// Large/Exclusive": data-poor clients receive the global model for
+  /// inference only, so even their private embeddings stay at
+  /// initialization — the severity of the paper's Table II drop). Clients
+  /// backing off or quarantined, and offline clients, requeue; a lost
+  /// download never reaches the client (no accounting, no training) and
+  /// retries after backoff. Appends a record when `u` trains. Sync rounds
+  /// key every draw by `round_id`; async dispatches take a fresh sequence
+  /// number once the gate lets the client through.
+  void Select(UserId u, uint64_t round_id, double now,
+              std::vector<Participation>* batch) {
+    if (setup_.excluded[static_cast<int>(clients_[u].group)]) return;
+    if (gate_ && !gate_->Ready(u, now)) {
+      queue_->Requeue(u);
+      return;
+    }
+    const uint64_t key = agg_ ? dispatch_seq_++ : round_id;
+    if (!net_->Online(u, key)) {
+      queue_->Requeue(u);
+      return;
+    }
+    const FaultKind fk =
+        injector_ ? injector_->Draw(u, key) : FaultKind::kNone;
+    if (fk == FaultKind::kDownloadLoss) {
+      result_.comm.mutable_faults()->download_lost++;
+      TraceFault("download_loss", "fault", u, now);
+      FailAndRequeue(u, now);
+      return;
+    }
+    batch->push_back(Participation{u, key, fk});
+  }
+
+  /// Train, then hand every record to its schedule's merge step in batch
+  /// order. A chunk's clients train in parallel (each mutates only its own
+  /// ClientState and its thread's LocalTrainer scratch; the server and
+  /// dataset are read-only until the chunk settles), so results are
+  /// bit-identical for every thread count. Without pool workers a chunk is
+  /// one record, so only one update is ever live (a batch of dense
+  /// reference deltas would be large); over-selection ranks whole batches.
+  void TrainAndMerge(std::vector<Participation>* batch) {
+    const size_t n = batch->size();
+    const size_t chunk = over_select_ || pool_->num_slots() > 1 ? n : 1;
+    for (size_t lo = 0; lo < n; lo += chunk) {
+      Participation* rec = batch->data() + lo;
+      const size_t len = std::min(chunk, n - lo);
+      pool_->ParallelFor(len, [&](size_t k, size_t slot_idx) {
+        Train(&rec[k], slot_idx);
+      });
+      for (size_t k = 0; k < len; ++k) Arrive(&rec[k]);
+      if (over_select_) RankForMerge(rec, len);
+      for (size_t k = 0; k < len; ++k) {
+        if (agg_) {
+          SubmitForArrival(&rec[k]);
         } else {
-          f->rejected_outlier++;
-          TraceFault("reject_outlier", "admission", u, now);
+          MergeInRound(&rec[k]);
         }
-        f->quarantines++;
-        if (gate_) gate_->Quarantine(u, now);
-        queue_->Requeue(u);
-        return false;
+        rec[k].update = LocalUpdateResult();
       }
     }
-    MergeOne(u, *update);
-    if (gate_) gate_->OnSuccess(u);
-    return true;
   }
 
-  /// Resolves one trained client's upload against its drawn fault
-  /// (synchronous schedule). Returns true when the update merged — only
-  /// merged clients extend the round barrier.
-  bool ResolveUpload(UserId u, FaultKind fk, uint64_t key,
-                     LocalUpdateResult* update) {
-    FaultStats* f = result_.comm.mutable_faults();
-    f->nonfinite_grad_steps += update->nonfinite_grad_steps;
-    switch (fk) {
-      case FaultKind::kCrash:
-        f->crashed++;
-        TraceFault("crash", "fault", u, sim_clock_);
-        FailAndRequeue(u, sim_clock_);
-        return false;
-      case FaultKind::kUploadLoss:
-        f->upload_lost++;
-        TraceFault("upload_loss", "fault", u, sim_clock_);
-        FailAndRequeue(u, sim_clock_);
-        return false;
-      case FaultKind::kDuplicate:
-        // Delivered twice; the server dedups by (client, round id), so the
-        // redundant copy shows up only in the fault counters.
-        f->duplicates++;
-        TraceFault("duplicate", "fault", u, sim_clock_);
-        break;
-      case FaultKind::kCorrupt:
-        f->corrupted++;
-        TraceFault("corrupt", "fault", u, sim_clock_);
-        injector_->Corrupt(u, key, update);
-        break;
-      default:
-        break;
+  /// A trained record's arrival: its non-finite steps count whether or not
+  /// it merges; its download is accounted in batch order (the replica
+  /// commit must be deterministic) as the scalars the active protocol
+  /// actually ships; and its simulated seconds are fixed: that download,
+  /// the upload (packed touched rows on the sparse path, the dense delta
+  /// otherwise) and local compute, with the latency draw salted by the key.
+  void Arrive(Participation* p) {
+    const UserId u = p->user;
+    const LocalUpdateResult& up = p->update;
+    result_.comm.mutable_faults()->nonfinite_grad_steps +=
+        up.nonfinite_grad_steps;
+    const size_t slot = SlotOf(u);
+    const Matrix& table = server_->table(slot);
+    // up.params_down is the dense accounting: |V| + |Θ...|.
+    const size_t theta_params = up.params_down - table.size();
+    size_t shipped = up.params_down;
+    {
+      HFR_PROFILE("sync");
+      if (delta_sync_ && up.sparse) {
+        SyncPlan plan = sync_->Sync(u, slot, up.read_rows, table,
+                                    server_->versions(), theta_params);
+        shipped = plan.params;
+        if (tel_) {
+          metrics_.rows_subscribed->Add(plan.subscribed_rows);
+          metrics_.rows_shipped->Add(plan.shipped_rows);
+        }
+      }
+      result_.comm.RecordDownload(
+          clients_[u].group,
+          cfg_.sparse_comm_accounting ? shipped : up.params_down);
     }
-    return TryMerge(u, update, sim_clock_);
-  }
-
-  /// Simulated wall-clock seconds of one full participation: what the wire
-  /// actually carries down (`down_scalars`, from AccountDownload) and up
-  /// (packed touched rows on the sparse path, the dense delta otherwise),
-  /// plus local compute. `time_key` salts the per-participation latency
-  /// draw: the round id under the synchronous schedule, the dispatch
-  /// sequence number under the asynchronous one.
-  double ClientFinishSeconds(UserId u, uint64_t time_key, size_t down_scalars,
-                             const LocalUpdateResult& up) const {
-    const size_t slot =
-        setup_.slot_of_group[static_cast<int>(clients_[u].group)];
-    const size_t theta_params = up.params_down - server_->table(slot).size();
     const size_t up_scalars =
         up.sparse ? up.v_delta_sparse.ParamCount() + theta_params
                   : up.params_down;
-    return net_->FinishSeconds(u, time_key,
-                               down_scalars * cfg_.wire_scalar_bytes,
-                               up_scalars * cfg_.wire_scalar_bytes,
-                               up.train_samples);
+    p->seconds = net_->FinishSeconds(u, p->key,
+                                     shipped * cfg_.wire_scalar_bytes,
+                                     up_scalars * cfg_.wire_scalar_bytes,
+                                     up.train_samples);
   }
 
-  /// The synchronous round protocol (the paper's), unchanged semantics on
-  /// the default path: barrier rounds over the shuffled queue, optional
-  /// over-selection, optional fault injection / admission control.
+  /// Resolve: the upload faults, for both schedules. A crashed or lost
+  /// upload never arrives — counted, traced, and the client retries after
+  /// backoff (false). A duplicate is counted only (the server dedups by
+  /// client and round id); a corrupted upload is corrupted in place.
+  bool ResolveUpload(Participation* p, double now) {
+    FaultStats* f = result_.comm.mutable_faults();
+    switch (p->fault) {
+      case FaultKind::kCrash:
+        f->crashed++;
+        TraceFault("crash", "fault", p->user, now);
+        FailAndRequeue(p->user, now);
+        return false;
+      case FaultKind::kUploadLoss:
+        f->upload_lost++;
+        TraceFault("upload_loss", "fault", p->user, now);
+        FailAndRequeue(p->user, now);
+        return false;
+      case FaultKind::kDuplicate:
+        f->duplicates++;
+        TraceFault("duplicate", "fault", p->user, now);
+        return true;
+      case FaultKind::kCorrupt:
+        f->corrupted++;
+        TraceFault("corrupt", "fault", p->user, now);
+        injector_->Corrupt(p->user, p->key, &p->update);
+        return true;
+      default:
+        return true;
+    }
+  }
+
+  /// Over-selection's rule for which records of a sync round merge
+  /// (straggler slack or a round deadline). Uploads that never arrive
+  /// resolve first and leave the ranking; the rest rank by (simulated
+  /// finish, batch index), and the first clients_per_round that beat the
+  /// deadline merge. The others are stragglers: they transferred (the trace
+  /// shows them) but are discarded and requeued.
+  void RankForMerge(Participation* rec, size_t n) {
+    std::vector<size_t> order;
+    order.reserve(n);
+    for (size_t k = 0; k < n; ++k) {
+      if (rec[k].fault == FaultKind::kCrash ||
+          rec[k].fault == FaultKind::kUploadLoss) {
+        ResolveUpload(&rec[k], sim_clock_);
+        rec[k].fate = Fate::kLost;
+      } else {
+        rec[k].fate = Fate::kStraggler;
+        order.push_back(k);
+      }
+    }
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return rec[a].seconds != rec[b].seconds ? rec[a].seconds < rec[b].seconds
+                                              : a < b;
+    });
+    size_t taken = 0;
+    for (size_t k : order) {
+      if (taken >= cfg_.clients_per_round) break;
+      if (cfg_.round_deadline > 0.0 && rec[k].seconds > cfg_.round_deadline) {
+        round_.deadline_cut = true;
+        break;  // order is sorted: everyone later missed it too
+      }
+      rec[k].fate = Fate::kMerge;
+      taken++;
+    }
+  }
+
+  /// Sync merge step: into the open round's accumulators, in batch order.
+  /// Only merged clients extend the round barrier.
+  void MergeInRound(Participation* p) {
+    if (p->fate == Fate::kLost) return;
+    if (over_select_) {
+      TraceTransfer(*p, round_.start, p->seconds);
+      if (p->fate == Fate::kStraggler) {
+        queue_->Requeue(p->user);
+        return;
+      }
+    }
+    if (!ResolveUpload(p, sim_clock_)) return;
+    const std::vector<LocalTaskSpec>& tasks = TasksOf(p->user);
+    if (server_->admission_enabled()) {
+      const AdmissionDecision decision = server_->Admit(tasks, &p->update);
+      result_.comm.mutable_faults()->rows_clipped += decision.rows_clipped;
+      if (decision.verdict != AdmissionVerdict::kAccept) {
+        OnRejected(p->user,
+                   decision.verdict == AdmissionVerdict::kRejectNonFinite,
+                   sim_clock_);
+        return;
+      }
+    }
+    HFR_PROFILE("merge");
+    const double weight =
+        cfg_.aggregation == AggregationMode::kDataWeighted
+            ? static_cast<double>(dataset_.TrainItems(p->user).size())
+            : 1.0;
+    server_->UploadDelta(tasks, p->update, weight);
+    OnMerged(p->user, p->update.params_up, p->update.train_loss);
+    round_.seconds = std::max(round_.seconds, p->seconds);
+    ++round_.merged;
+    if (trace_) round_.merges.push_back(p->user);
+    if (!over_select_) TraceTransfer(*p, round_.start, p->seconds);
+  }
+
+  /// Async merge step: resolve the upload at the dispatch instant and queue
+  /// its completion; AsyncAggregator merges it on arrival (AsyncEpoch).
+  void SubmitForArrival(Participation* p) {
+    const double now = agg_->clock_seconds();
+    if (!ResolveUpload(p, now)) return;
+    const double finish = now + p->seconds;
+    TraceTransfer(*p, now, finish - now);
+    // Every client of a dispatch downloaded the version current at its
+    // dispatch instant; nothing merges before the whole batch is queued.
+    agg_->Submit(p->user, &TasksOf(p->user), std::move(p->update),
+                 server_->versions().round(), finish);
+  }
+
+  /// An accepted merge, under either schedule: traffic, loss, and the
+  /// client's failure streak clears.
+  void OnMerged(UserId u, size_t params_up, double train_loss) {
+    result_.comm.RecordUpload(clients_[u].group, params_up);
+    loss_sum_ += train_loss;
+    loss_count_++;
+    if (gate_) gate_->OnSuccess(u);
+  }
+
+  /// An admission rejection, under either schedule: the client is
+  /// quarantined and re-enters (much later) with a fresh download.
+  void OnRejected(UserId u, bool nonfinite, double now) {
+    FaultStats* f = result_.comm.mutable_faults();
+    ++(nonfinite ? f->rejected_nonfinite : f->rejected_outlier);
+    TraceFault(nonfinite ? "reject_nonfinite" : "reject_outlier", "admission",
+               u, now);
+    f->quarantines++;
+    if (gate_) gate_->Quarantine(u, now);
+    queue_->Requeue(u);
+  }
+
+  /// The debug kill hook: a simulated crash once debug_stop_after_rounds
+  /// rounds (sync) or merges (async) completed. What completed since the
+  /// last run checkpoint is lost, exactly like a kill between rounds.
+  bool KillHookFired() {
+    stopped_ = cfg_.debug_stop_after_rounds > 0 &&
+               rounds_done_ >= cfg_.debug_stop_after_rounds;
+    return stopped_;
+  }
+
+  /// The synchronous round protocol (the paper's): barrier rounds over the
+  /// shuffled queue. A whole batch dispatches at the round's start instant
+  /// and merges in batch order; the server applies the aggregate once its
+  /// slowest merged client has finished.
   void SyncEpoch(int epoch) {
     if (resume_mid_epoch_) {
       // Queue contents, loss accumulators and the round budget were
@@ -716,175 +870,31 @@ class FederatedRun {
       // run.
       round_budget_ = 10 * queue_->rounds_per_epoch() + 10;
     }
+    std::vector<Participation> batch;
     while (!queue_->Exhausted() && round_budget_ > 0) {
       --round_budget_;
       const std::vector<UserId> selected = queue_->NextRound();
       server_->BeginRound();
       const uint64_t round_id = server_->versions().round();
-      // "All Large/Exclusive": data-poor clients are excluded from the
-      // federation entirely — they receive the global model for
-      // inference but are never selected for training, so even their
-      // private user embeddings stay at initialization. This matches the
-      // severity of the paper's reported drop (Table II). Offline clients
-      // re-enter the queue and are tried again in a later round.
-      std::vector<UserId> work;
-      std::vector<FaultKind> fault;  // aligned with work (kNone when off)
-      work.reserve(selected.size());
-      fault.reserve(selected.size());
-      for (UserId u : selected) {
-        if (setup_.excluded[static_cast<int>(clients_[u].group)]) continue;
-        if (gate_ && !gate_->Ready(u, sim_clock_)) {
-          // Backing off after a failure or quarantined: not selectable yet.
-          queue_->Requeue(u);
-          continue;
-        }
-        if (!net_->Online(u, round_id)) {
-          queue_->Requeue(u);
-          continue;
-        }
-        const FaultKind fk =
-            injector_ ? injector_->Draw(u, round_id) : FaultKind::kNone;
-        if (fk == FaultKind::kDownloadLoss) {
-          // The model never reaches the client: no download accounting, no
-          // training — the client retries after backoff.
-          result_.comm.mutable_faults()->download_lost++;
-          TraceFault("download_loss", "fault", u, sim_clock_);
-          FailAndRequeue(u, sim_clock_);
-          continue;
-        }
-        work.push_back(u);
-        fault.push_back(fk);
-      }
-
-      // The round's barrier in simulated time: the server applies the
-      // aggregate only once its slowest *merged* client has finished.
-      double round_seconds = 0.0;
-      size_t merged_count = 0;
       // While the round is open sim_clock_ is the round's start instant;
       // every trace event inside the round is stamped with it, and the
       // barrier-close events below with round_start + round_seconds.
-      const double round_start = sim_clock_;
-
-      // Clients of a batch train in parallel (each mutates only its own
-      // ClientState and its thread's LocalTrainer scratch; the server and
-      // dataset are read-only during the batch). Updates land in
-      // per-client slots and merge into the server afterwards in batch
-      // order, so results are bit-identical for every thread count.
-      if (!over_select_ && pool_->num_workers() == 0) {
-        // Serial: merge each update immediately so only one is ever live
-        // (a full batch of dense reference deltas would be large).
-        LocalUpdateResult update;
-        for (size_t k = 0; k < work.size(); ++k) {
-          TrainOneFaulted(work[k], 0, fault[k], &update);
-          const size_t shipped = AccountDownload(work[k], update);
-          if (ResolveUpload(work[k], fault[k], round_id, &update)) {
-            const double fin =
-                ClientFinishSeconds(work[k], round_id, shipped, update);
-            round_seconds = std::max(round_seconds, fin);
-            ++merged_count;
-            if (trace_) trace_round_merges_.push_back(work[k]);
-            TraceTransfer(work[k], round_start, fin, /*merged=*/true);
-          }
-        }
-      } else {
-        std::vector<LocalUpdateResult> updates(work.size());
-        if (pool_->num_workers() == 0) {
-          for (size_t k = 0; k < work.size(); ++k) {
-            TrainOneFaulted(work[k], 0, fault[k], &updates[k]);
-          }
-        } else {
-          pool_->ParallelFor(work.size(), [&](size_t k, size_t slot_idx) {
-            TrainOneFaulted(work[k], slot_idx, fault[k], &updates[k]);
-          });
-        }
-        if (!over_select_) {
-          for (size_t k = 0; k < work.size(); ++k) {
-            const size_t shipped = AccountDownload(work[k], updates[k]);
-            if (ResolveUpload(work[k], fault[k], round_id, &updates[k])) {
-              const double fin = ClientFinishSeconds(work[k], round_id,
-                                                     shipped, updates[k]);
-              round_seconds = std::max(round_seconds, fin);
-              ++merged_count;
-              if (trace_) trace_round_merges_.push_back(work[k]);
-              TraceTransfer(work[k], round_start, fin, /*merged=*/true);
-            }
-          }
-        } else {
-          // Over-selection: every selected client downloads and trains
-          // (its replica, embedding and RNG advance), but only the first
-          // clients_per_round simulated completions merge — in batch
-          // order, so results stay thread-count independent. Stragglers
-          // and deadline misses are discarded and re-queued; crashed and
-          // upload-lost clients never complete, so they leave the ranking
-          // entirely.
-          std::vector<double> finish(work.size());
-          std::vector<uint8_t> eligible(work.size(), 1);
-          for (size_t k = 0; k < work.size(); ++k) {
-            const size_t down_scalars = AccountDownload(work[k], updates[k]);
-            finish[k] = ClientFinishSeconds(work[k], round_id, down_scalars,
-                                            updates[k]);
-            if (fault[k] == FaultKind::kCrash ||
-                fault[k] == FaultKind::kUploadLoss) {
-              FaultStats* f = result_.comm.mutable_faults();
-              f->nonfinite_grad_steps += updates[k].nonfinite_grad_steps;
-              if (fault[k] == FaultKind::kCrash) {
-                f->crashed++;
-                TraceFault("crash", "fault", work[k], sim_clock_);
-              } else {
-                f->upload_lost++;
-                TraceFault("upload_loss", "fault", work[k], sim_clock_);
-              }
-              FailAndRequeue(work[k], sim_clock_);
-              eligible[k] = 0;
-            }
-          }
-          std::vector<size_t> order(work.size());
-          std::iota(order.begin(), order.end(), 0);
-          std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-            return finish[a] != finish[b] ? finish[a] < finish[b] : a < b;
-          });
-          std::vector<uint8_t> merged(work.size(), 0);
-          size_t taken = 0;
-          bool deadline_cut = false;
-          for (size_t k : order) {
-            if (!eligible[k]) continue;
-            if (taken >= cfg_.clients_per_round) break;
-            if (cfg_.round_deadline > 0.0 &&
-                finish[k] > cfg_.round_deadline) {
-              deadline_cut = true;
-              break;  // order is sorted: everyone later missed it too
-            }
-            merged[k] = 1;
-            taken++;
-          }
-          for (size_t k = 0; k < work.size(); ++k) {
-            if (!eligible[k]) continue;
-            // Stragglers transferred too (their download is on the wire);
-            // the merged flag separates the two populations in the trace.
-            TraceTransfer(work[k], round_start, finish[k], merged[k] != 0);
-            if (merged[k]) {
-              if (ResolveUpload(work[k], fault[k], round_id, &updates[k])) {
-                round_seconds = std::max(round_seconds, finish[k]);
-                ++merged_count;
-                if (trace_) trace_round_merges_.push_back(work[k]);
-              }
-            } else {
-              queue_->Requeue(work[k]);
-            }
-          }
-          if (deadline_cut) {
-            // The quota went unfilled because clients missed the deadline:
-            // the server waited the deadline out before closing the round.
-            round_seconds = cfg_.round_deadline;
-          }
-        }
+      round_ = OpenRound{sim_clock_};
+      batch.clear();
+      for (UserId u : selected) Select(u, round_id, sim_clock_, &batch);
+      TrainAndMerge(&batch);
+      if (round_.deadline_cut) {
+        // The quota went unfilled because clients missed the deadline:
+        // the server waited the deadline out before closing the round.
+        round_.seconds = cfg_.round_deadline;
       }
+
       server_->FinishRound();
       if (setup_.reskd) {
         server_->Distill(kd_opts_, &kd_rng_);
         if (tel_) metrics_.distills->Increment();
       }
-      sim_clock_ += round_seconds;
+      sim_clock_ += round_.seconds;
       ++rounds_done_;
       if (trace_) {
         // Barrier close: the round span, then the merges it applied and the
@@ -892,11 +902,11 @@ class FederatedRun {
         // in-round event above was stamped with round_start).
         JsonObj args;
         args.U64("round", rounds_done_)
-            .U64("merged", merged_count)
+            .U64("merged", round_.merged)
             .U64("queue", queue_->pending());
-        trace_->Complete("round", "server", round_start, round_seconds,
+        trace_->Complete("round", "server", round_.start, round_.seconds,
                          kServerTrack, args.Build());
-        for (const UserId u : trace_round_merges_) {
+        for (const UserId u : round_.merges) {
           JsonObj margs;
           margs.U64("user", u);
           trace_->Instant("merge", "server", sim_clock_, kServerTrack,
@@ -906,15 +916,8 @@ class FederatedRun {
           trace_->Instant("distill", "server", sim_clock_, kServerTrack);
         }
       }
-      trace_round_merges_.clear();
-      TelemetryRound(epoch, round_seconds, merged_count);
-      if (cfg_.debug_stop_after_rounds > 0 &&
-          rounds_done_ >= cfg_.debug_stop_after_rounds) {
-        // Simulated crash: the round that just completed is never
-        // checkpointed, exactly like a kill between rounds.
-        stopped_ = true;
-        return;
-      }
+      TelemetryRound(epoch, round_.seconds, round_.merged);
+      if (KillHookFired()) return;
       if (cfg_.checkpoint_every > 0 &&
           rounds_done_ % cfg_.checkpoint_every == 0) {
         WriteRunCheckpoint(epoch, /*mid_epoch=*/true);
@@ -930,112 +933,19 @@ class FederatedRun {
   }
 
   /// Fills free in-flight slots from the queue at the current virtual
-  /// instant. The collected batch trains in parallel against the current
-  /// tables — every client of one dispatch batch downloads the same model
+  /// instant. Every client of one dispatch batch downloads the same model
   /// version, which is what dispatching at one virtual instant means.
-  /// Offline clients requeue (a fresh availability draw at their next
-  /// dispatch attempt); excluded groups never dispatch.
   void AsyncDispatch(size_t* budget) {
     HFR_CHECK_GE(async_inflight_, agg_->in_flight());
     const size_t free_slots = async_inflight_ - agg_->in_flight();
-    dispatch_users_.clear();
-    dispatch_seqs_.clear();
-    dispatch_faults_.clear();
     const double now = agg_->clock_seconds();
-    while (dispatch_users_.size() < free_slots && !queue_->Exhausted() &&
+    std::vector<Participation> batch;
+    while (batch.size() < free_slots && !queue_->Exhausted() &&
            *budget > 0) {
       --*budget;
-      const UserId u = queue_->PopNext();
-      if (setup_.excluded[static_cast<int>(clients_[u].group)]) continue;
-      if (gate_ && !gate_->Ready(u, now)) {
-        // Backing off after a failure or quarantined: not selectable yet.
-        queue_->Requeue(u);
-        continue;
-      }
-      const uint64_t seq = dispatch_seq_++;
-      if (!net_->Online(u, seq)) {
-        queue_->Requeue(u);
-        continue;
-      }
-      const FaultKind fk =
-          injector_ ? injector_->Draw(u, seq) : FaultKind::kNone;
-      if (fk == FaultKind::kDownloadLoss) {
-        // The model never reaches the client: no download accounting, no
-        // training — the client retries after backoff.
-        result_.comm.mutable_faults()->download_lost++;
-        TraceFault("download_loss", "fault", u, now);
-        FailAndRequeue(u, now);
-        continue;
-      }
-      dispatch_users_.push_back(u);
-      dispatch_seqs_.push_back(seq);
-      dispatch_faults_.push_back(fk);
+      Select(queue_->PopNext(), /*round_id=*/0, now, &batch);
     }
-    if (dispatch_users_.empty()) return;
-
-    // In-flight updates must coexist (they are "on the wire"), unlike the
-    // synchronous serial path's merge-immediately economy; on the default
-    // sparse path each holds only its touched rows.
-    dispatch_updates_.resize(dispatch_users_.size());
-    const uint64_t version = server_->versions().round();
-    if (pool_->num_workers() == 0) {
-      for (size_t k = 0; k < dispatch_users_.size(); ++k) {
-        TrainOneFaulted(dispatch_users_[k], 0, dispatch_faults_[k],
-                        &dispatch_updates_[k]);
-      }
-    } else {
-      pool_->ParallelFor(dispatch_users_.size(),
-                         [&](size_t k, size_t slot_idx) {
-                           TrainOneFaulted(dispatch_users_[k], slot_idx,
-                                           dispatch_faults_[k],
-                                           &dispatch_updates_[k]);
-                         });
-    }
-    // Replica commits and the completion events in dispatch order.
-    for (size_t k = 0; k < dispatch_users_.size(); ++k) {
-      const UserId u = dispatch_users_[k];
-      const FaultKind fk = dispatch_faults_[k];
-      const size_t shipped = AccountDownload(u, dispatch_updates_[k]);
-      FaultStats* f = result_.comm.mutable_faults();
-      f->nonfinite_grad_steps += dispatch_updates_[k].nonfinite_grad_steps;
-      if (fk == FaultKind::kCrash || fk == FaultKind::kUploadLoss) {
-        // The download happened (the replica committed) but no completion
-        // event will ever arrive; the client retries after backoff.
-        if (fk == FaultKind::kCrash) {
-          f->crashed++;
-          TraceFault("crash", "fault", u, now);
-        } else {
-          f->upload_lost++;
-          TraceFault("upload_loss", "fault", u, now);
-        }
-        FailAndRequeue(u, now);
-        continue;
-      }
-      if (fk == FaultKind::kDuplicate) {
-        f->duplicates++;
-        TraceFault("duplicate", "fault", u, now);
-      }
-      if (fk == FaultKind::kCorrupt) {
-        f->corrupted++;
-        TraceFault("corrupt", "fault", u, now);
-        injector_->Corrupt(u, dispatch_seqs_[k], &dispatch_updates_[k]);
-      }
-      const double finish =
-          agg_->clock_seconds() +
-          ClientFinishSeconds(u, dispatch_seqs_[k], shipped,
-                              dispatch_updates_[k]);
-      if (trace_) {
-        JsonObj args;
-        args.U64("user", u).U64("seq", dispatch_seqs_[k]);
-        trace_->Complete("transfer", "net", agg_->clock_seconds(),
-                         finish - agg_->clock_seconds(),
-                         GroupTrack(clients_[u].group), args.Build());
-      }
-      agg_->Submit(
-          u, &setup_.tasks_of_group[static_cast<int>(clients_[u].group)],
-          std::move(dispatch_updates_[k]), version, finish);
-    }
-    dispatch_updates_.clear();
+    TrainAndMerge(&batch);
   }
 
   /// Merge-on-arrival: completions pop in virtual-time order and merge (or
@@ -1051,15 +961,11 @@ class FederatedRun {
     AsyncDispatch(&budget);
     size_t since_dispatch = 0;
     while (!agg_->empty()) {
-      AsyncAggregator::Outcome out =
+      const AsyncAggregator::Outcome out =
           agg_->MergeNext(kd_opts_, setup_.reskd ? &kd_rng_ : nullptr);
-      const Group g = clients_[out.user].group;
+      result_.comm.mutable_faults()->rows_clipped += out.rows_clipped;
       if (out.merged) {
-        result_.comm.RecordUpload(g, out.params_up);
-        result_.comm.mutable_faults()->rows_clipped += out.rows_clipped;
-        loss_sum_ += out.train_loss;
-        loss_count_++;
-        if (gate_) gate_->OnSuccess(out.user);
+        OnMerged(out.user, out.params_up, out.train_loss);
         ++rounds_done_;
         if (tel_) metrics_.staleness->Observe(static_cast<double>(out.staleness));
         if (trace_) {
@@ -1075,33 +981,17 @@ class FederatedRun {
         if (++async_merges_in_row_ >= cfg_.clients_per_round) {
           FlushAsyncRound(epoch);
         }
-        if (cfg_.debug_stop_after_rounds > 0 &&
-            rounds_done_ >= cfg_.debug_stop_after_rounds) {
-          // Simulated crash mid-epoch: in-flight events are simply lost.
+        if (KillHookFired()) {
+          // In-flight events are simply lost.
           sim_clock_ = agg_->clock_seconds();
-          stopped_ = true;
           return;
         }
       } else if (out.rejected) {
-        // Admission control rejected the update: quarantine the client so
-        // it re-enters (much later) with a fresh download.
-        FaultStats* f = result_.comm.mutable_faults();
-        f->rows_clipped += out.rows_clipped;
-        if (out.rejected_nonfinite) {
-          f->rejected_nonfinite++;
-          TraceFault("reject_nonfinite", "admission", out.user,
-                     out.finish_seconds);
-        } else {
-          f->rejected_outlier++;
-          TraceFault("reject_outlier", "admission", out.user,
-                     out.finish_seconds);
-        }
-        f->quarantines++;
-        if (gate_) gate_->Quarantine(out.user, agg_->clock_seconds());
-        queue_->Requeue(out.user);
+        OnRejected(out.user, out.rejected_nonfinite, out.finish_seconds);
       } else {
         // Dropped by the staleness cap: the work is discarded and the
         // client re-queued for a fresh download, like a sync straggler.
+        const Group g = clients_[out.user].group;
         result_.comm.RecordDropped(g);
         if (trace_) {
           JsonObj args;
@@ -1176,8 +1066,7 @@ class FederatedRun {
     if (fp32_) {
       return [this](UserId u, size_t thread_slot,
                     const std::vector<ItemId>& ids, double* out) {
-        size_t slot =
-            setup_.slot_of_group[static_cast<int>(clients_[u].group)];
+        const size_t slot = SlotOf(u);
         ScorerF& sc = BeginUserF(u, thread_slot, slot);
         ScoreIdsForEval(sc, eval_tables_f_[slot], eval_thetas_f_[slot], ids,
                         cfg_.use_batched_scoring,
@@ -1187,7 +1076,7 @@ class FederatedRun {
     return [this](UserId u, size_t thread_slot,
                   const std::vector<ItemId>& ids, double* out) {
       const ClientState& c = clients_[u];
-      size_t slot = setup_.slot_of_group[static_cast<int>(c.group)];
+      const size_t slot = SlotOf(u);
       Scorer& sc = eval_scorers_[thread_slot][slot];
       sc.BeginUser(c.user_embedding.Row(0), server_->table(slot),
                    dataset_.TrainItems(u));
@@ -1200,8 +1089,7 @@ class FederatedRun {
   Evaluator::StreamScoreFn MakeStreamScoreFn() {
     if (fp32_) {
       return [this](UserId u, size_t thread_slot, TopKSelector* sink) {
-        size_t slot =
-            setup_.slot_of_group[static_cast<int>(clients_[u].group)];
+        const size_t slot = SlotOf(u);
         ScorerF& sc = BeginUserF(u, thread_slot, slot);
         StreamScoresForEval(sc, eval_tables_f_[slot], eval_thetas_f_[slot],
                             cfg_.use_batched_scoring,
@@ -1210,7 +1098,7 @@ class FederatedRun {
     }
     return [this](UserId u, size_t thread_slot, TopKSelector* sink) {
       const ClientState& c = clients_[u];
-      size_t slot = setup_.slot_of_group[static_cast<int>(c.group)];
+      const size_t slot = SlotOf(u);
       Scorer& sc = eval_scorers_[thread_slot][slot];
       sc.BeginUser(c.user_embedding.Row(0), server_->table(slot),
                    dataset_.TrainItems(u));
@@ -1442,14 +1330,20 @@ class FederatedRun {
                     args.Build());
   }
 
-  /// One synchronous-round client transfer on its group track, spanning the
-  /// round start to the client's simulated finish.
-  void TraceTransfer(UserId u, double start, double duration, bool merged) {
+  /// One client transfer on its group track, from its dispatch instant to
+  /// its simulated finish: sync rounds flag whether it merged, async
+  /// dispatches carry the sequence number.
+  void TraceTransfer(const Participation& p, double start, double duration) {
     if (!trace_) return;
     JsonObj args;
-    args.U64("user", u).Bool("merged", merged);
+    args.U64("user", p.user);
+    if (agg_) {
+      args.U64("seq", p.key);
+    } else {
+      args.Bool("merged", p.fate == Fate::kMerge);
+    }
     trace_->Complete("transfer", "net", start, duration,
-                     GroupTrack(clients_[u].group), args.Build());
+                     GroupTrack(clients_[p.user].group), args.Build());
   }
 
   /// Round close (sync round / async merge batch): snapshot the per-round
@@ -1620,14 +1514,20 @@ class FederatedRun {
   uint64_t rounds_done_ = 0;      // completed rounds (sync) / merges (async)
   uint64_t round_budget_ = 0;     // remaining sync-epoch round budget
 
+  /// The open synchronous round.
+  struct OpenRound {
+    double start = 0.0;          // the virtual instant its batch dispatched
+    double seconds = 0.0;        // barrier: the slowest merged completion
+    size_t merged = 0;
+    bool deadline_cut = false;   // the deadline left the quota unfilled
+    std::vector<UserId> merges;  // merged users, traced at the close
+  };
+  OpenRound round_;
+
   // Async schedule state.
   std::unique_ptr<AsyncAggregator> agg_;
   size_t async_inflight_ = 0;
   uint64_t dispatch_seq_ = 0;  // monotone across epochs; salts net draws
-  std::vector<UserId> dispatch_users_;
-  std::vector<uint64_t> dispatch_seqs_;
-  std::vector<FaultKind> dispatch_faults_;
-  std::vector<LocalUpdateResult> dispatch_updates_;
 
   ExperimentResult result_;
   double loss_sum_ = 0.0;
@@ -1641,7 +1541,6 @@ class FederatedRun {
   uint64_t telemetry_rounds_ = 0;  // "round" rows emitted (sync rounds or
                                    // async merge batches)
   uint64_t merges_total_ = 0;      // cumulative merged client updates
-  std::vector<UserId> trace_round_merges_;  // merged users of the open round
   size_t async_merges_in_row_ = 0;  // merges since the last async batch row
   double async_row_clock_ = 0.0;    // clock at the last async batch close
   uint64_t rows_sub_seen_ = 0;      // row-subscription counters already
