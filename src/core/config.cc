@@ -228,6 +228,14 @@ Status ExperimentConfig::Validate() const {
     return Status::InvalidArgument(
         "async_mode does not support data-weighted aggregation");
   }
+  if (async_mode && (straggler_slack > 0 || round_deadline > 0.0)) {
+    // Over-selection ranks a sync round's batch by finish time; async
+    // merges each arrival on its own and has no round to cut.
+    return Status::InvalidArgument(
+        "async_mode does not support straggler_slack or round_deadline "
+        "(they rank a sync round; async_max_staleness bounds stale "
+        "arrivals instead)");
+  }
   // Catch negative CLI ints cast through size_t (2^64-ish values).
   if (async_inflight > (size_t{1} << 32) ||
       async_distill_every > (size_t{1} << 32) ||

@@ -190,10 +190,11 @@ struct ExperimentConfig {
   /// Over-selection slack: each round selects clients_per_round + slack
   /// clients and merges the first clients_per_round to finish (by simulated
   /// network time); stragglers are discarded and re-queued. 0 = off.
+  /// Sync rounds only: Validate rejects it under async_mode.
   size_t straggler_slack = 0;
   /// Round deadline, seconds of simulated time; clients finishing later are
   /// dropped (and re-queued) even if fewer than clients_per_round made it.
-  /// 0 = no deadline.
+  /// 0 = no deadline. Sync rounds only, like straggler_slack.
   double round_deadline = 0.0;
   /// Simulated network: median client bandwidth (bytes/s), log-normal
   /// per-client spread, base round-trip latency (s), per-(client, round)

@@ -196,6 +196,29 @@ TEST(ConfigTest, AdmissionChecks) {
   EXPECT_FALSE(cfg.Validate().ok());
 }
 
+// Over-selection ranks a sync round; async has no round to cut, so it
+// rejects the knobs instead of silently ignoring them (as it does
+// data-weighted aggregation).
+TEST(ConfigTest, AsyncRejectsOverSelection) {
+  ExperimentConfig cfg;
+  cfg.async_mode = true;
+  EXPECT_TRUE(cfg.Validate().ok());
+  cfg.straggler_slack = 4;
+  EXPECT_EQ(cfg.Validate().code(), StatusCode::kInvalidArgument);
+  cfg.straggler_slack = 0;
+  cfg.round_deadline = 30.0;
+  EXPECT_EQ(cfg.Validate().code(), StatusCode::kInvalidArgument);
+  cfg.straggler_slack = 4;
+  EXPECT_EQ(cfg.Validate().code(), StatusCode::kInvalidArgument);
+  cfg.async_mode = false;  // sync rounds take both
+  EXPECT_TRUE(cfg.Validate().ok());
+  cfg.async_mode = true;
+  cfg.straggler_slack = 0;
+  cfg.round_deadline = 0.0;
+  cfg.aggregation = AggregationMode::kDataWeighted;
+  EXPECT_EQ(cfg.Validate().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ConfigTest, CheckpointAndResumeChecks) {
   ExperimentConfig cfg;
   cfg.checkpoint_every = 5;
