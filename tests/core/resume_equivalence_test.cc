@@ -135,16 +135,24 @@ TEST(ResumeEquivalence, SyncKillResumeInSecondEpoch) {
 // Faults, admission control and backoff state all survive the kill: the
 // injector draws are positional, the gate and admission windows are
 // serialized, so the resumed run replays the identical fault schedule.
+// With straggler slack the rounds merge by over-selection's rule instead,
+// which requeues discarded stragglers behind the checkpointed queue.
 TEST(ResumeEquivalence, SyncKillResumeWithFaultsAndAdmission) {
-  ExperimentConfig cfg = SmallConfig();
-  cfg.fault_upload_loss = 0.05;
-  cfg.fault_download_loss = 0.03;
-  cfg.fault_crash = 0.02;
-  cfg.fault_corrupt = 0.05;
-  cfg.admission_control = true;
-  cfg.admit_max_row_norm = 1.0;
-  cfg.admit_outlier_z = 6.0;
-  ExpectKillResumeEquivalent(cfg, Method::kHeteFedRec, 4, "sync_faulted");
+  for (size_t slack : {size_t{0}, size_t{4}}) {
+    ExperimentConfig cfg = SmallConfig();
+    cfg.fault_upload_loss = 0.05;
+    cfg.fault_download_loss = 0.03;
+    cfg.fault_crash = 0.02;
+    cfg.fault_corrupt = 0.05;
+    cfg.admission_control = true;
+    cfg.admit_max_row_norm = 1.0;
+    cfg.admit_outlier_z = 6.0;
+    cfg.straggler_slack = slack;
+    cfg.net_bandwidth_sigma = slack > 0 ? 0.6 : 0.0;
+    ExpectKillResumeEquivalent(
+        cfg, Method::kHeteFedRec, 4,
+        slack > 0 ? "sync_faulted_slack" : "sync_faulted");
+  }
 }
 
 // Delta-sync replicas (per-client row holdings + versions, LRU order)
