@@ -551,9 +551,6 @@ class FederatedRun {
  private:
   using Fate = Participation::Fate;
 
-  size_t SlotOf(UserId u) const {
-    return setup_.slot_of_group[static_cast<int>(clients_[u].group)];
-  }
   const std::vector<LocalTaskSpec>& TasksOf(UserId u) const {
     return setup_.tasks_of_group[static_cast<int>(clients_[u].group)];
   }
@@ -570,7 +567,9 @@ class FederatedRun {
     const auto& tasks = setup_.tasks_of_group[g];
     std::vector<const FeedForwardNet*> thetas;
     thetas.reserve(tasks.size());
-    for (const auto& task : tasks) thetas.push_back(&server_->theta(task.slot));
+    for (const auto& task : tasks) {
+      thetas.push_back(&server_->theta(task.slot));
+    }
 
     LocalTrainerOptions lopt;
     lopt.local_epochs = cfg_.local_epochs;
@@ -679,7 +678,8 @@ class FederatedRun {
     const LocalUpdateResult& up = p->update;
     result_.comm.mutable_faults()->nonfinite_grad_steps +=
         up.nonfinite_grad_steps;
-    const size_t slot = SlotOf(u);
+    const size_t slot =
+        setup_.slot_of_group[static_cast<int>(clients_[u].group)];
     const Matrix& table = server_->table(slot);
     // up.params_down is the dense accounting: |V| + |Θ...|.
     const size_t theta_params = up.params_down - table.size();
@@ -853,6 +853,16 @@ class FederatedRun {
     return stopped_;
   }
 
+  /// Clients still queued when an epoch's budget (sync rounds, async
+  /// dispatch attempts) ran out sit the rest of the epoch out.
+  void WarnIfBudgetExhausted(int epoch, const char* budget) {
+    if (queue_->Exhausted()) return;
+    HFR_LOG(Warning) << "epoch " << epoch << " " << budget
+                     << " budget exhausted with " << queue_->pending()
+                     << " clients still queued (availability="
+                     << cfg_.availability << "); dropping them until next epoch";
+  }
+
   /// The synchronous round protocol (the paper's): barrier rounds over the
   /// shuffled queue. A whole batch dispatches at the round's start instant
   /// and merges in batch order; the server applies the aggregate once its
@@ -870,7 +880,6 @@ class FederatedRun {
       // run.
       round_budget_ = 10 * queue_->rounds_per_epoch() + 10;
     }
-    std::vector<Participation> batch;
     while (!queue_->Exhausted() && round_budget_ > 0) {
       --round_budget_;
       const std::vector<UserId> selected = queue_->NextRound();
@@ -880,7 +889,8 @@ class FederatedRun {
       // every trace event inside the round is stamped with it, and the
       // barrier-close events below with round_start + round_seconds.
       round_ = OpenRound{sim_clock_};
-      batch.clear();
+      std::vector<Participation> batch;
+      batch.reserve(selected.size());
       for (UserId u : selected) Select(u, round_id, sim_clock_, &batch);
       TrainAndMerge(&batch);
       if (round_.deadline_cut) {
@@ -923,13 +933,7 @@ class FederatedRun {
         WriteRunCheckpoint(epoch, /*mid_epoch=*/true);
       }
     }
-    if (!queue_->Exhausted()) {
-      HFR_LOG(Warning) << "epoch " << epoch
-                       << " round budget exhausted with " << queue_->pending()
-                       << " clients still queued (availability="
-                       << cfg_.availability
-                       << "); dropping them until next epoch";
-    }
+    WarnIfBudgetExhausted(epoch, "round");
   }
 
   /// Fills free in-flight slots from the queue at the current virtual
@@ -1010,14 +1014,7 @@ class FederatedRun {
         since_dispatch = 0;
       }
     }
-    if (!queue_->Exhausted()) {
-      HFR_LOG(Warning) << "epoch " << epoch
-                       << " async dispatch budget exhausted with "
-                       << queue_->pending()
-                       << " clients still queued (availability="
-                       << cfg_.availability
-                       << "); dropping them until next epoch";
-    }
+    WarnIfBudgetExhausted(epoch, "async dispatch");
     sim_clock_ = agg_->clock_seconds();
     // Close the partial merge batch so the epoch's tail still reports.
     FlushAsyncRound(epoch);
@@ -1066,7 +1063,8 @@ class FederatedRun {
     if (fp32_) {
       return [this](UserId u, size_t thread_slot,
                     const std::vector<ItemId>& ids, double* out) {
-        const size_t slot = SlotOf(u);
+        size_t slot =
+            setup_.slot_of_group[static_cast<int>(clients_[u].group)];
         ScorerF& sc = BeginUserF(u, thread_slot, slot);
         ScoreIdsForEval(sc, eval_tables_f_[slot], eval_thetas_f_[slot], ids,
                         cfg_.use_batched_scoring,
@@ -1076,7 +1074,7 @@ class FederatedRun {
     return [this](UserId u, size_t thread_slot,
                   const std::vector<ItemId>& ids, double* out) {
       const ClientState& c = clients_[u];
-      const size_t slot = SlotOf(u);
+      size_t slot = setup_.slot_of_group[static_cast<int>(c.group)];
       Scorer& sc = eval_scorers_[thread_slot][slot];
       sc.BeginUser(c.user_embedding.Row(0), server_->table(slot),
                    dataset_.TrainItems(u));
@@ -1089,7 +1087,8 @@ class FederatedRun {
   Evaluator::StreamScoreFn MakeStreamScoreFn() {
     if (fp32_) {
       return [this](UserId u, size_t thread_slot, TopKSelector* sink) {
-        const size_t slot = SlotOf(u);
+        size_t slot =
+            setup_.slot_of_group[static_cast<int>(clients_[u].group)];
         ScorerF& sc = BeginUserF(u, thread_slot, slot);
         StreamScoresForEval(sc, eval_tables_f_[slot], eval_thetas_f_[slot],
                             cfg_.use_batched_scoring,
@@ -1098,7 +1097,7 @@ class FederatedRun {
     }
     return [this](UserId u, size_t thread_slot, TopKSelector* sink) {
       const ClientState& c = clients_[u];
-      const size_t slot = SlotOf(u);
+      size_t slot = setup_.slot_of_group[static_cast<int>(c.group)];
       Scorer& sc = eval_scorers_[thread_slot][slot];
       sc.BeginUser(c.user_embedding.Row(0), server_->table(slot),
                    dataset_.TrainItems(u));
