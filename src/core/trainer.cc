@@ -268,7 +268,7 @@ struct Participation {
   /// under async.
   uint64_t key = 0;
   FaultKind fault = FaultKind::kNone;
-  LocalUpdateResult update;
+  LocalUpdateResult update{};
   double seconds = 0.0;  // simulated download + compute + upload time
   /// Which records of a sync round merge. Every record merges unless
   /// over-selection ranks it out as a straggler or its upload is lost.
@@ -766,7 +766,9 @@ class FederatedRun {
     for (size_t k : order) {
       if (taken >= cfg_.clients_per_round) break;
       if (cfg_.round_deadline > 0.0 && rec[k].seconds > cfg_.round_deadline) {
-        round_.deadline_cut = true;
+        // The quota went unfilled because clients missed the deadline: the
+        // server waits the deadline out (every winner finished before it).
+        round_.seconds = cfg_.round_deadline;
         break;  // order is sorted: everyone later missed it too
       }
       rec[k].fate = Fate::kMerge;
@@ -779,6 +781,8 @@ class FederatedRun {
   void MergeInRound(Participation* p) {
     if (p->fate == Fate::kLost) return;
     if (over_select_) {
+      // Stragglers transferred too (their download is on the wire); the
+      // merged flag separates the two populations in the trace.
       TraceTransfer(*p, round_.start, p->seconds);
       if (p->fate == Fate::kStraggler) {
         queue_->Requeue(p->user);
@@ -860,7 +864,8 @@ class FederatedRun {
     HFR_LOG(Warning) << "epoch " << epoch << " " << budget
                      << " budget exhausted with " << queue_->pending()
                      << " clients still queued (availability="
-                     << cfg_.availability << "); dropping them until next epoch";
+                     << cfg_.availability
+                     << "); dropping them until next epoch";
   }
 
   /// The synchronous round protocol (the paper's): barrier rounds over the
@@ -893,11 +898,6 @@ class FederatedRun {
       batch.reserve(selected.size());
       for (UserId u : selected) Select(u, round_id, sim_clock_, &batch);
       TrainAndMerge(&batch);
-      if (round_.deadline_cut) {
-        // The quota went unfilled because clients missed the deadline:
-        // the server waited the deadline out before closing the round.
-        round_.seconds = cfg_.round_deadline;
-      }
 
       server_->FinishRound();
       if (setup_.reskd) {
@@ -1515,11 +1515,10 @@ class FederatedRun {
 
   /// The open synchronous round.
   struct OpenRound {
-    double start = 0.0;          // the virtual instant its batch dispatched
-    double seconds = 0.0;        // barrier: the slowest merged completion
+    double start = 0.0;            // the virtual instant its batch dispatched
+    double seconds = 0.0;          // slowest merged finish, or the deadline
     size_t merged = 0;
-    bool deadline_cut = false;   // the deadline left the quota unfilled
-    std::vector<UserId> merges;  // merged users, traced at the close
+    std::vector<UserId> merges{};  // merged users, traced at the close
   };
   OpenRound round_;
 
