@@ -104,9 +104,9 @@ void RegisterExperimentFlags(CommandLine* cli) {
   cli->AddFlag("straggler_slack", "0",
                "over-selection slack: select N extra clients per round, "
                "merge the first clients_per_round to finish (0 = "
-               "deterministic protocol)");
+               "deterministic protocol; sync rounds only)");
   cli->AddFlag("round_deadline", "0",
-               "simulated round deadline in seconds (0 = none)");
+               "simulated round deadline in seconds (0 = none; sync only)");
   cli->AddFlag("compute_backend", "fp64",
                "numeric compute backend: fp64 (bit-exact reference) | fp32 "
                "(float client math) | fp32_simd (float + AVX2 kernels)");
