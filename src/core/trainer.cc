@@ -270,8 +270,9 @@ struct Participation {
   FaultKind fault = FaultKind::kNone;
   LocalUpdateResult update{};
   double seconds = 0.0;  // simulated download + compute + upload time
-  /// Which records of a sync round merge. Every record merges unless
-  /// over-selection ranks it out as a straggler or its upload is lost.
+  /// Over-selection's verdict on a sync round's record (RankForMerge);
+  /// kMerge everywhere else, where a lost upload or an admission
+  /// rejection still stops the record at its merge step.
   enum class Fate : uint8_t { kMerge, kStraggler, kLost };
   Fate fate = Fate::kMerge;
 };
