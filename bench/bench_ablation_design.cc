@@ -1,4 +1,4 @@
-// Ablation of *this implementation's* design choices (DESIGN.md §3/§6) —
+// Ablation of *this implementation's* design choices —
 // knobs the paper leaves unspecified, measured so their defaults are
 // justified rather than folklore:
 //   A. server aggregation: mean of client deltas vs the literal Eq. 4 sum,

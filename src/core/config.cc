@@ -1,90 +1,198 @@
 #include "src/core/config.h"
 
+#include <charconv>
+#include <cmath>
+#include <type_traits>
+#include <utility>
+
 #include "src/util/cli.h"
+#include "src/util/telemetry/json.h"
 
 namespace hetefedrec {
 
-Status ApplyExperimentFlags(const CommandLine& cli,
-                            ExperimentConfig* config) {
-  config->seed = cli.GetUint64("seed");
-  config->num_threads = static_cast<size_t>(cli.GetInt("threads"));
-  config->use_sparse_updates = !cli.GetBool("dense_updates");
-  config->use_batched_scoring = !cli.GetBool("scalar_scoring");
-  config->use_batched_topk = !cli.GetBool("scalar_topk");
-  config->eval_candidate_sample =
-      static_cast<size_t>(cli.GetInt("eval_candidates"));
-  config->sync_replica_cap = static_cast<size_t>(cli.GetInt("replica_cap"));
-  config->sparse_comm_accounting = cli.GetBool("sparse_comm");
-  config->full_downloads = !cli.GetBool("delta_downloads");
-  config->availability = cli.GetDouble("availability");
-  config->straggler_slack = static_cast<size_t>(cli.GetInt("straggler_slack"));
-  config->round_deadline = cli.GetDouble("round_deadline");
+namespace {
 
-  auto backend = ComputeBackendByName(cli.GetString("compute_backend"));
-  if (!backend.ok()) return backend.status();
-  config->compute_backend = *backend;
-  const std::string wire_format = cli.GetString("wire_format");
-  if (wire_format == "auto") {
-    config->wire_scalar_bytes =
-        config->compute_backend == ComputeBackend::kFp64 ? 8 : 4;
-  } else {
-    auto wire = WireScalarBytesByName(wire_format);
-    if (!wire.ok()) return wire.status();
-    config->wire_scalar_bytes = *wire;
+// In AggregationMode's declaration order.
+constexpr const char* kAggregationNames[] = {"sum", "mean", "weighted"};
+
+StatusOr<AggregationMode> AggregationModeByName(const std::string& name) {
+  for (int m = 0; m < 3; ++m) {
+    if (name == kAggregationNames[m]) return static_cast<AggregationMode>(m);
   }
-  config->server_shards = static_cast<size_t>(cli.GetInt("server_shards"));
+  return Status::InvalidArgument("unknown aggregation '" + name +
+                                 "' (expected mean|sum|weighted)");
+}
 
-  config->net_bandwidth = cli.GetDouble("net_bandwidth");
-  config->net_bandwidth_sigma = cli.GetDouble("net_bandwidth_sigma");
-  config->net_latency = cli.GetDouble("net_latency");
-  config->net_latency_sigma = cli.GetDouble("net_latency_sigma");
-  config->net_compute_per_sample = cli.GetDouble("net_compute");
+// --- per-type codecs: flag text <-> field value ---------------------------
+// Text() renders a value the way ParseText() reads it back; the shared
+// flags' defaults, and every JSON string in the meta row, are Text().
 
-  config->async_mode = cli.GetBool("async");
-  config->async_staleness_alpha = cli.GetDouble("async_alpha");
-  config->async_max_staleness =
-      static_cast<size_t>(cli.GetInt("async_max_staleness"));
-  config->async_dispatch_batch =
-      static_cast<size_t>(cli.GetInt("async_dispatch_batch"));
-  config->async_inflight = static_cast<size_t>(cli.GetInt("async_inflight"));
-  config->async_distill_every =
-      static_cast<size_t>(cli.GetInt("async_distill_every"));
+std::string Text(AggregationMode m) {
+  return kAggregationNames[static_cast<int>(m)];
+}
+std::string Text(ComputeBackend b) { return ComputeBackendName(b); }
+std::string Text(BaseModel m) { return BaseModelShortName(m); }
 
-  config->fault_upload_loss = cli.GetDouble("fault_upload_loss");
-  config->fault_download_loss = cli.GetDouble("fault_download_loss");
-  config->fault_crash = cli.GetDouble("fault_crash");
-  config->fault_duplicate = cli.GetDouble("fault_duplicate");
-  config->fault_corrupt = cli.GetDouble("fault_corrupt");
-  config->fault_retry_max = static_cast<size_t>(cli.GetInt("fault_retry_max"));
-  config->fault_retry_base = cli.GetDouble("fault_retry_base");
-  config->fault_retry_cap = cli.GetDouble("fault_retry_cap");
-  config->fault_quarantine_base = cli.GetDouble("fault_quarantine_base");
-  config->fault_quarantine_cap = cli.GetDouble("fault_quarantine_cap");
-  config->fault_jitter = cli.GetDouble("fault_jitter");
-  config->admission_control = cli.GetBool("admission");
-  config->admit_max_row_norm = cli.GetDouble("admit_max_row_norm");
-  config->admit_outlier_z = cli.GetDouble("admit_outlier_z");
-
-  config->checkpoint_every =
-      static_cast<size_t>(cli.GetInt("checkpoint_every"));
-  config->resume_run = cli.GetBool("resume");
-  config->debug_stop_after_rounds =
-      static_cast<size_t>(cli.GetUint64("stop_after_rounds"));
-  config->metrics_out = cli.GetString("metrics_out");
-  config->trace_out = cli.GetString("trace_out");
-  config->profile = cli.GetBool("profile");
-
-  const std::string agg = cli.GetString("agg");
-  if (agg == "mean") {
-    config->aggregation = AggregationMode::kMean;
-  } else if (agg == "sum") {
-    config->aggregation = AggregationMode::kSum;
-  } else if (agg == "weighted") {
-    config->aggregation = AggregationMode::kDataWeighted;
+template <typename T>
+std::string Text(const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   } else {
-    return Status::InvalidArgument("unknown --agg '" + agg + "'");
+    return v;
+  }
+}
+
+template <typename T, size_t N>
+std::string Text(const std::array<T, N>& values) {
+  std::string out;
+  for (size_t i = 0; i < N; ++i) out += (i ? "," : "") + Text(values[i]);
+  return out;
+}
+
+template <typename T>
+Status Assign(StatusOr<T> parsed, T* out) {
+  if (parsed.ok()) *out = *parsed;
+  return parsed.status();
+}
+
+Status ParseText(const std::string& text, AggregationMode* out) {
+  return Assign(AggregationModeByName(text), out);
+}
+Status ParseText(const std::string& text, ComputeBackend* out) {
+  return Assign(ComputeBackendByName(text), out);
+}
+Status ParseText(const std::string& text, BaseModel* out) {
+  return Assign(BaseModelByName(text), out);
+}
+
+template <typename T>
+Status ParseText(const std::string& text, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    const bool on = text == "true" || text == "1" || text == "yes";
+    if (!on && text != "false" && text != "0" && text != "no") {
+      return Status::InvalidArgument("expected true|false|1|0|yes|no");
+    }
+    *out = on;
+    return Status::OK();
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    // from_chars takes no sign on unsigned types, no '+', no whitespace
+    // and no trailing junk, and reports overflow.
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    if (ec == std::errc::result_out_of_range) {
+      return Status::InvalidArgument("out of range");
+    }
+    if (ec != std::errc() || ptr != end) {
+      return Status::InvalidArgument(
+          std::is_floating_point_v<T> ? "expected a number"
+          : std::is_unsigned_v<T>     ? "expected an unsigned integer"
+                                      : "expected an integer");
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(*out)) return Status::InvalidArgument("not finite");
+    }
+    return Status::OK();
+  } else {
+    *out = text;
+    return Status::OK();
+  }
+}
+
+template <typename T, size_t N>
+Status ParseText(const std::string& text, std::array<T, N>* out) {
+  size_t begin = 0;
+  for (size_t i = 0; i < N; ++i) {
+    const size_t end = i + 1 < N ? text.find(',', begin) : text.size();
+    if (end == std::string::npos) {
+      return Status::InvalidArgument("too few comma-separated values");
+    }
+    HFR_RETURN_NOT_OK(ParseText(text.substr(begin, end - begin), &(*out)[i]));
+    begin = end + 1;
   }
   return Status::OK();
+}
+
+// A "!" flag sets the negation of its bool field.
+template <typename T>
+T FlagSense(const ConfigField& field, T value) {
+  if constexpr (std::is_same_v<T, bool>) return value != field.negated();
+  return value;
+}
+
+template <typename T>
+std::string Json(const T& v) {
+  std::string out;
+  if constexpr (std::is_floating_point_v<T>) {
+    AppendJsonNumber(&out, v);
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    out = Text(v);
+  } else {
+    AppendJsonString(&out, Text(v));
+  }
+  return out;
+}
+
+template <typename T, size_t N>
+std::string Json(const std::array<T, N>& values) {
+  std::string out;
+  for (size_t i = 0; i < N; ++i) out += (i ? "," : "[") + Json(values[i]);
+  return out + "]";
+}
+
+// Special case: --wire_format names a format, not a width, and its default
+// "auto" follows the compute backend, so it is applied after the loop.
+constexpr char kWireFormat[] = "wire_format";
+
+}  // namespace
+
+void RegisterExperimentFlags(CommandLine* cli) {
+  const ExperimentConfig defaults;
+  ForEachConfigField(defaults, [&](const ConfigField& f, const auto& value) {
+    if (!f.has_flag()) return;
+    const std::string name = f.flag_name();
+    cli->AddFlag(name, name == kWireFormat ? "auto" : Text(FlagSense(f, value)),
+                 f.help);
+  });
+}
+
+Status ApplyExperimentFlags(const CommandLine& cli,
+                            ExperimentConfig* config) {
+  std::string name, text;
+  Status status;
+  ForEachConfigField(*config, [&](const ConfigField& f, auto& value) {
+    if (!status.ok() || !f.has_flag() || f.flag_name() == kWireFormat) return;
+    name = f.flag_name();
+    text = cli.GetString(name);
+    auto parsed = value;
+    status = ParseText(text, &parsed);
+    if (status.ok()) value = FlagSense(f, parsed);
+  });
+  if (status.ok()) {
+    name = kWireFormat;
+    text = cli.GetString(name);
+    if (text == "auto") {
+      config->wire_scalar_bytes =
+          config->compute_backend == ComputeBackend::kFp64 ? 8 : 4;
+    } else {
+      status = Assign(WireScalarBytesByName(text), &config->wire_scalar_bytes);
+    }
+  }
+  if (status.ok()) return status;
+  return Status::InvalidArgument("--" + name + "='" + text +
+                                 "': " + status.message());
+}
+
+std::string ConfigJson(const ExperimentConfig& config) {
+  JsonObj obj;
+  ForEachConfigField(config, [&](const ConfigField& f, const auto& value) {
+    if (f.cls == FieldClass::kResults) obj.Raw(f.name, Json(value));
+  });
+  return obj.Build();
 }
 
 std::string MethodName(Method m) {
@@ -181,21 +289,29 @@ Status ExperimentConfig::Validate() const {
   if (availability <= 0.0 || availability > 1.0) {
     return Status::InvalidArgument("availability must be in (0, 1]");
   }
-  // Catches negative CLI ints cast through size_t (2^64-ish values).
+  // Catch negative values cast through size_t (2^64-ish).
   if (num_threads > 4096) {
     return Status::InvalidArgument("num_threads is implausibly large");
   }
   if (server_shards > 4096) {
     return Status::InvalidArgument(
-        "server_shards is implausibly large (negative CLI value?)");
+        "server_shards is implausibly large (negative value?)");
   }
-  if (eval_candidate_sample > (size_t{1} << 32)) {
-    return Status::InvalidArgument(
-        "eval_candidate_sample is implausibly large (negative CLI value?)");
-  }
-  if (sync_replica_cap > (size_t{1} << 32)) {
-    return Status::InvalidArgument(
-        "sync_replica_cap is implausibly large (negative CLI value?)");
+  const std::pair<const char*, size_t> counts[] = {
+      {"eval_candidate_sample", eval_candidate_sample},
+      {"sync_replica_cap", sync_replica_cap},
+      {"async_inflight", async_inflight},
+      {"async_distill_every", async_distill_every},
+      {"async_max_staleness", async_max_staleness},
+      {"async_dispatch_batch", async_dispatch_batch},
+      {"fault_retry_max", fault_retry_max},
+      {"checkpoint_every", checkpoint_every},
+      {"debug_stop_after_rounds", debug_stop_after_rounds}};
+  for (const auto& [name, value] : counts) {
+    if (value > (size_t{1} << 32)) {
+      return Status::InvalidArgument(std::string(name) +
+                                     " is implausibly large (negative value?)");
+    }
   }
   if (straggler_slack > 16 * clients_per_round) {
     return Status::InvalidArgument(
@@ -236,14 +352,6 @@ Status ExperimentConfig::Validate() const {
         "(they rank a sync round; async_max_staleness bounds stale "
         "arrivals instead)");
   }
-  // Catch negative CLI ints cast through size_t (2^64-ish values).
-  if (async_inflight > (size_t{1} << 32) ||
-      async_distill_every > (size_t{1} << 32) ||
-      async_max_staleness > (size_t{1} << 32) ||
-      async_dispatch_batch > (size_t{1} << 32)) {
-    return Status::InvalidArgument(
-        "async_* knob is implausibly large (negative CLI value?)");
-  }
   const std::array<double, 5> fault_rates = {
       fault_upload_loss, fault_download_loss, fault_crash, fault_duplicate,
       fault_corrupt};
@@ -261,10 +369,6 @@ Status ExperimentConfig::Validate() const {
   }
   if (fault_retry_max < 1) {
     return Status::InvalidArgument("fault_retry_max must be >= 1");
-  }
-  if (fault_retry_max > (size_t{1} << 32)) {
-    return Status::InvalidArgument(
-        "fault_retry_max is implausibly large (negative CLI value?)");
   }
   if (fault_retry_base <= 0.0 || fault_quarantine_base <= 0.0) {
     return Status::InvalidArgument(
@@ -285,10 +389,6 @@ Status ExperimentConfig::Validate() const {
   if (admit_max_row_norm < 0.0 || admit_outlier_z < 0.0) {
     return Status::InvalidArgument("admit_* thresholds must be >= 0");
   }
-  if (checkpoint_every > (size_t{1} << 32)) {
-    return Status::InvalidArgument(
-        "checkpoint_every is implausibly large (negative CLI value?)");
-  }
   if (checkpoint_every > 0 && checkpoint_path.empty()) {
     return Status::InvalidArgument(
         "checkpoint_every requires checkpoint_path");
@@ -301,10 +401,6 @@ Status ExperimentConfig::Validate() const {
     // audit run would immediately CHECK-fail on the first skipped row.
     return Status::InvalidArgument(
         "resume_run is incompatible with sync_verify_replicas");
-  }
-  if (debug_stop_after_rounds > (size_t{1} << 32)) {
-    return Status::InvalidArgument(
-        "debug_stop_after_rounds is implausibly large (negative CLI value?)");
   }
   return Status::OK();
 }

@@ -10,8 +10,8 @@
 // which is an efficient surrogate for equalizing the singular values of the
 // covariance matrix (Eq. 12; see Hua et al. 2021, Shi et al. 2022).
 //
-// Gradient derivation (see DESIGN.md §3): with X the standardized table
-// (M rows) and C = XᵀX / M,
+// Gradient derivation: with X the standardized table (M rows) and
+// C = XᵀX / M,
 //   dL/dX = 2 · X · C / (M · N · ||C||_F),
 // backpropagated exactly through the per-column centering; the per-column
 // standard deviation is treated as a constant (stop-gradient), the standard

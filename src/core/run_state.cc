@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "src/core/checkpoint.h"
 
@@ -58,53 +59,45 @@ EvalResult UnpackEval(const uint64_t* w) {
   return e;
 }
 
+// Fingerprint text of one field: operator<< (doubles in exact hexfloat,
+// bools as 1/0), enums as their integer, arrays comma-joined.
+template <typename T>
+void StreamField(std::ostream& s, const T& v) {
+  if constexpr (std::is_enum_v<T>) {
+    s << static_cast<int>(v);
+  } else {
+    s << v;
+  }
+}
+
+// fp32 and fp32_simd are results-identical by construction, so only the
+// float-vs-double choice joins the digest: a run may resume under the
+// other fp32 flavor (or after an AVX2 fallback) without drift.
+void StreamField(std::ostream& s, ComputeBackend b) {
+  s << (b != ComputeBackend::kFp64);
+}
+
+template <typename T, size_t N>
+void StreamField(std::ostream& s, const std::array<T, N>& values) {
+  for (size_t i = 0; i < N; ++i) {
+    if (i) s << ',';
+    StreamField(s, values[i]);
+  }
+}
+
 }  // namespace
 
 uint64_t ConfigFingerprint(const ExperimentConfig& c,
                            const std::string& method_name) {
-  // Every field that can change the trained bits or the accounting joins
-  // the digest. Deliberately excluded: num_threads (thread-invariant by
-  // construction), checkpoint_path/checkpoint_every/resume_run (IO
-  // plumbing), debug_stop_after_rounds (the kill hook itself), and the
-  // telemetry fields metrics_out/trace_out/profile/track_round_comm (pure
-  // observation — a resumed run may toggle them freely).
   // Doubles stream in hexfloat, which is exact: the default 6 significant
   // digits would let lr 0.001 and 0.0010000001 share a fingerprint.
   std::ostringstream s;
-  s << std::hexfloat;
-  s << method_name << '|' << c.dataset << '|' << c.data_scale << '|'
-    << static_cast<int>(c.base_model) << '|' << c.dims[0] << ',' << c.dims[1]
-    << ',' << c.dims[2] << '|' << c.ffn_hidden[0] << ',' << c.ffn_hidden[1]
-    << '|' << c.embed_init_std << '|' << c.group_fractions[0] << ','
-    << c.group_fractions[1] << ',' << c.group_fractions[2] << '|'
-    << c.global_epochs << '|' << c.local_epochs << '|' << c.clients_per_round
-    << '|' << c.lr << '|' << static_cast<int>(c.aggregation) << '|'
-    << c.local_validation_fraction << '|' << c.unified_dual_task << '|'
-    << c.decorrelation << '|' << c.ensemble_distillation << '|' << c.alpha
-    << '|' << c.ddr_sample_rows << '|' << c.kd_items << '|' << c.kd_steps
-    << '|' << c.kd_lr << '|' << c.use_sparse_updates << '|'
-    << c.sparse_comm_accounting << '|' << c.use_batched_scoring << '|'
-    << c.use_batched_topk << '|' << c.full_downloads << '|'
-    << c.sync_replica_cap << '|' << c.availability << '|'
-    << c.straggler_slack << '|' << c.round_deadline << '|' << c.net_bandwidth
-    << '|' << c.net_bandwidth_sigma << '|' << c.net_latency << '|'
-    << c.net_latency_sigma << '|' << c.net_compute_per_sample << '|'
-    << c.wire_scalar_bytes << '|' << c.async_mode << '|'
-    << c.async_staleness_alpha << '|' << c.async_max_staleness << '|'
-    << c.async_distill_every << '|' << c.async_inflight << '|'
-    << c.async_dispatch_batch << '|' << c.top_k << '|' << c.eval_every << '|'
-    << c.eval_user_sample << '|' << c.eval_candidate_sample << '|' << c.seed
-    << '|' << c.fault_upload_loss << '|' << c.fault_download_loss << '|'
-    << c.fault_crash << '|' << c.fault_duplicate << '|' << c.fault_corrupt
-    << '|' << c.fault_retry_max << '|' << c.fault_retry_base << '|'
-    << c.fault_retry_cap << '|' << c.fault_quarantine_base << '|'
-    << c.fault_quarantine_cap << '|' << c.fault_jitter << '|'
-    << c.admission_control << '|' << c.admit_max_row_norm << '|'
-    << c.admit_outlier_z << '|' << c.server_shards << '|'
-    // fp32 and fp32_simd are results-identical by construction, so only
-    // the float-vs-double choice joins the digest — a run may resume under
-    // the other fp32 flavor (or after an AVX2 fallback) without drift.
-    << (c.compute_backend != ComputeBackend::kFp64);
+  s << std::hexfloat << method_name;
+  ForEachConfigField(c, [&](const ConfigField& f, const auto& value) {
+    if (f.cls != FieldClass::kResults) return;
+    s << '|';
+    StreamField(s, value);
+  });
   const std::string text = s.str();
   uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
   for (unsigned char ch : text) {

@@ -88,9 +88,12 @@ struct RunState {
   std::vector<ReplicaSnapshot> replicas;  ///< per client when has_replicas
 };
 
-/// Stable hash of every results-affecting config field (excludes IO/perf
-/// plumbing: num_threads, checkpoint/resume knobs, the kill hook). Two
-/// configs with equal fingerprints produce bit-identical runs.
+/// FNV-1a 64 over `method_name` and every kResults row of the config field
+/// table (src/core/config_fields.def), in row order, '|'-separated, doubles
+/// in hexfloat. The kPlumbing rows (threads, replica audit, checkpoint and
+/// resume knobs, the kill hook, telemetry) are left out, so a run may
+/// resume with them changed. Two configs with equal fingerprints produce
+/// bit-identical runs; the text is kept stable so old checkpoints resume.
 uint64_t ConfigFingerprint(const ExperimentConfig& config,
                            const std::string& method_name);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -1303,18 +1304,17 @@ class FederatedRun {
     }
     if (tel_->metrics_on()) {
       JsonObj meta;
+      char fingerprint[17];
+      std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                    static_cast<unsigned long long>(
+                        ConfigFingerprint(cfg_, MethodName(method_))));
       meta.Str("type", "meta")
-          .I64("version", 1)
+          .I64("version", 2)
           .Str("method", MethodName(method_))
-          .Str("dataset", cfg_.dataset)
-          .Num("data_scale", cfg_.data_scale)
-          .U64("seed", cfg_.seed)
-          .Bool("async", cfg_.async_mode)
-          .U64("clients_per_round", cfg_.clients_per_round)
-          .I64("epochs", cfg_.global_epochs)
+          .Str("fingerprint", fingerprint)
           .Bool("resumed", cfg_.resume_run)
-          .Str("compute_backend", ComputeBackendName(cfg_.compute_backend))
-          .Str("fp64_kernels", Fp64KernelTier());
+          .Str("fp64_kernels", Fp64KernelTier())
+          .Raw("config", ConfigJson(cfg_));
       tel_->WriteRow(meta.Build());
     }
   }

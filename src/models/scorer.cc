@@ -19,6 +19,10 @@ std::string BaseModelName(BaseModel model) {
   return model == BaseModel::kNcf ? "Fed-NCF" : "Fed-LightGCN";
 }
 
+std::string BaseModelShortName(BaseModel model) {
+  return model == BaseModel::kNcf ? "ncf" : "lightgcn";
+}
+
 template <typename S>
 ScorerT<S>::ScorerT(BaseModel model, size_t width)
     : model_(model), width_(width) {

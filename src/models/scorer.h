@@ -59,6 +59,9 @@ StatusOr<BaseModel> BaseModelByName(const std::string& name);
 /// Human-readable name ("Fed-NCF" / "Fed-LightGCN").
 std::string BaseModelName(BaseModel model);
 
+/// The name BaseModelByName parses ("ncf" / "lightgcn").
+std::string BaseModelShortName(BaseModel model);
+
 /// \brief Width-w scoring view over shared parameters (scalar S).
 ///
 /// Usage per user and pass:

@@ -1,7 +1,9 @@
 // Tiny command-line flag parser used by bench and example binaries.
 //
 // Flags look like --name=value or --name value. Unknown flags are an error
-// so typos don't silently fall back to defaults mid-experiment.
+// so typos don't silently fall back to defaults mid-experiment. The getters
+// are lenient (atoi-style); the shared experiment flags are parsed strictly
+// by ApplyExperimentFlags (src/core/config.h).
 #ifndef HETEFEDREC_UTIL_CLI_H_
 #define HETEFEDREC_UTIL_CLI_H_
 
@@ -41,16 +43,6 @@ class CommandLine {
   };
   std::map<std::string, Flag> flags_;
 };
-
-/// Registers the experiment flags shared by every experiment binary (the
-/// bench suite and tools/hetefedrec_run): execution toggles, delta sync,
-/// simulated network, async aggregation, fault injection, admission,
-/// sharding, checkpointing and telemetry. Pure string registration — the
-/// matching config application lives in ApplyExperimentFlags
-/// (src/core/config.h), so flag names, defaults and help text exist in
-/// exactly one place. Binary-specific flags (presets, dataset/model
-/// selection, paper hyper-parameters) stay with their binaries.
-void RegisterExperimentFlags(CommandLine* cli);
 
 }  // namespace hetefedrec
 

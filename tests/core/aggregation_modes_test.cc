@@ -1,5 +1,6 @@
 // Aggregation-mode semantics: the kSum / kMean relationship and end-to-end
-// behavior under the paper-literal summation (DESIGN.md §6.4).
+// behavior under the paper-literal summation (AggregationMode in
+// src/core/config.h).
 #include <gtest/gtest.h>
 
 #include <cmath>

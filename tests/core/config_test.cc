@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/util/cli.h"
@@ -26,25 +28,30 @@ TEST(ConfigTest, ShardCountValidation) {
   EXPECT_FALSE(cfg.Validate().ok());
 }
 
+// Applies the shared flags parsed from `args` onto `cfg`.
+Status ApplyArgs(std::vector<std::string> args, ExperimentConfig* cfg) {
+  CommandLine cli;
+  RegisterExperimentFlags(&cli);
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  HFR_RETURN_NOT_OK(cli.Parse(static_cast<int>(argv.size()), argv.data()));
+  return ApplyExperimentFlags(cli, cfg);
+}
+
 // The shared flag registry and its config application agree: parsing the
 // registered flags and applying them sets exactly the shared fields, and
 // the all-defaults application leaves a default config unchanged in every
 // results-affecting way.
 TEST(ConfigTest, ApplyExperimentFlagsMatchesRegistry) {
-  CommandLine cli;
-  RegisterExperimentFlags(&cli);
-  std::vector<std::string> raw = {
-      "prog",        "--server_shards=4", "--async",
-      "--seed=99",   "--agg=sum",         "--threads=3",
-      "--delta_downloads", "--fault_crash=0.05", "--admission",
-      "--admit_outlier_z=3.5", "--wire_format=fp16",
-      "--stop_after_rounds=12"};
-  std::vector<char*> argv;
-  for (auto& a : raw) argv.push_back(a.data());
-  ASSERT_TRUE(cli.Parse(static_cast<int>(argv.size()), argv.data()).ok());
-
   ExperimentConfig cfg;
-  ASSERT_TRUE(ApplyExperimentFlags(cli, &cfg).ok());
+  ASSERT_TRUE(ApplyArgs({"--server_shards=4", "--async", "--seed=99",
+                         "--agg=sum", "--threads=3", "--delta_downloads",
+                         "--fault_crash=0.05", "--admission",
+                         "--admit_outlier_z=3.5", "--wire_format=fp16",
+                         "--stop_after_rounds=12"},
+                        &cfg)
+                  .ok());
   EXPECT_EQ(cfg.server_shards, 4u);
   EXPECT_TRUE(cfg.async_mode);
   EXPECT_EQ(cfg.seed, 99u);
@@ -61,43 +68,123 @@ TEST(ConfigTest, ApplyExperimentFlagsMatchesRegistry) {
   EXPECT_EQ(cfg.global_epochs, 20);
 }
 
-TEST(ConfigTest, ApplyExperimentFlagsDefaultsAreNeutral) {
-  CommandLine cli;
-  RegisterExperimentFlags(&cli);
-  std::vector<std::string> raw = {"prog"};
-  std::vector<char*> argv;
-  for (auto& a : raw) argv.push_back(a.data());
-  ASSERT_TRUE(cli.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+// Calls fn(field, a_value, b_value) for every row of the field table,
+// pairing the members of `a` and `b`.
+template <typename Fn>
+void ZipFields(const ExperimentConfig& a, const ExperimentConfig& b, Fn fn) {
+  std::vector<const void*> b_members;
+  ForEachConfigField(b, [&](const ConfigField&, const auto& value) {
+    b_members.push_back(&value);
+  });
+  size_t i = 0;
+  ForEachConfigField(a, [&](const ConfigField& f, const auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    fn(f, value, *static_cast<const T*>(b_members[i++]));
+  });
+}
 
+// Every flagged row's registered default parses back to the field's
+// default, so applying an empty command line changes nothing.
+TEST(ConfigTest, ApplyExperimentFlagsDefaultsAreNeutral) {
   ExperimentConfig cfg;
-  ASSERT_TRUE(ApplyExperimentFlags(cli, &cfg).ok());
+  cfg.wire_scalar_bytes = 2;  // --wire_format=auto must restore the default
+  ASSERT_TRUE(ApplyArgs({}, &cfg).ok());
   const ExperimentConfig def;
-  EXPECT_EQ(cfg.server_shards, def.server_shards);
-  EXPECT_EQ(cfg.async_mode, def.async_mode);
-  EXPECT_EQ(cfg.aggregation, def.aggregation);
-  EXPECT_EQ(cfg.compute_backend, def.compute_backend);
-  EXPECT_EQ(cfg.wire_scalar_bytes, def.wire_scalar_bytes);
-  EXPECT_EQ(cfg.full_downloads, def.full_downloads);
-  EXPECT_EQ(cfg.net_bandwidth, def.net_bandwidth);
-  EXPECT_EQ(cfg.net_latency, def.net_latency);
-  EXPECT_EQ(cfg.fault_retry_max, def.fault_retry_max);
-  EXPECT_EQ(cfg.fault_quarantine_cap, def.fault_quarantine_cap);
-  EXPECT_EQ(cfg.availability, def.availability);
+  size_t flagged = 0;
+  ZipFields(cfg, def, [&](const ConfigField& f, const auto& got,
+                          const auto& want) {
+    if (!f.has_flag()) return;
+    ++flagged;
+    EXPECT_TRUE(got == want) << f.name;
+  });
+  EXPECT_EQ(flagged, 47u);
   EXPECT_TRUE(cfg.Validate().ok());
 }
 
+// Strict parsing, one case per flagged field type: the error names the
+// flag.
+void ExpectRejected(const std::string& arg, const std::string& flag) {
+  ExperimentConfig cfg;
+  const Status st = ApplyArgs({arg}, &cfg);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << arg;
+  EXPECT_NE(st.message().find("--" + flag), std::string::npos)
+      << arg << ": " << st.message();
+}
+
+TEST(ConfigTest, StrictFlagsBool) {
+  for (const char* bad : {"ture", "", "2", "TRUE", "on", "true "}) {
+    ExpectRejected(std::string("--async=") + bad, "async");
+  }
+  ExperimentConfig cfg;
+  ASSERT_TRUE(ApplyArgs({"--async=yes", "--admission=1"}, &cfg).ok());
+  EXPECT_TRUE(cfg.async_mode);
+  EXPECT_TRUE(cfg.admission_control);
+  ASSERT_TRUE(ApplyArgs({"--async=no", "--admission=0"}, &cfg).ok());
+  EXPECT_FALSE(cfg.async_mode);
+  EXPECT_FALSE(cfg.admission_control);
+  // A negated flag sets the opposite of its field.
+  ASSERT_TRUE(ApplyArgs({"--dense_updates"}, &cfg).ok());
+  EXPECT_FALSE(cfg.use_sparse_updates);
+}
+
+TEST(ConfigTest, StrictFlagsUnsigned) {
+  for (const char* bad : {"-1", "abc", "", "3x", "+3", " 3", "1.5"}) {
+    ExpectRejected(std::string("--threads=") + bad, "threads");
+  }
+  ExpectRejected("--seed=-1", "seed");
+  ExpectRejected("--seed=18446744073709551616", "seed");  // 2^64
+  ExperimentConfig cfg;
+  ASSERT_TRUE(ApplyArgs({"--seed=18446744073709551615"}, &cfg).ok());
+  EXPECT_EQ(cfg.seed, UINT64_MAX);
+}
+
+TEST(ConfigTest, StrictFlagsDouble) {
+  for (const char* bad : {"lots", "", "0.1x", "inf", "nan", "1e999", " 0.1"}) {
+    ExpectRejected(std::string("--fault_crash=") + bad, "fault_crash");
+  }
+  ExperimentConfig cfg;
+  ASSERT_TRUE(ApplyArgs({"--net_bandwidth=2.5e6", "--fault_crash=.02"}, &cfg)
+                  .ok());
+  EXPECT_EQ(cfg.net_bandwidth, 2.5e6);
+  EXPECT_EQ(cfg.fault_crash, 0.02);
+}
+
+TEST(ConfigTest, StrictFlagsString) {
+  // Strings take any text, the empty default included.
+  ExperimentConfig cfg;
+  cfg.metrics_out = "set";
+  ASSERT_TRUE(ApplyArgs({"--metrics_out=", "--trace_out=a b.json"}, &cfg).ok());
+  EXPECT_EQ(cfg.metrics_out, "");
+  EXPECT_EQ(cfg.trace_out, "a b.json");
+}
+
 TEST(ConfigTest, ApplyExperimentFlagsRejectsBadEnums) {
-  for (const std::string& bad :
-       {std::string("--agg=median"), std::string("--compute_backend=fp8"),
-        std::string("--wire_format=fp8")}) {
-    CommandLine cli;
-    RegisterExperimentFlags(&cli);
-    std::vector<std::string> raw = {"prog", bad};
-    std::vector<char*> argv;
-    for (auto& a : raw) argv.push_back(a.data());
-    ASSERT_TRUE(cli.Parse(static_cast<int>(argv.size()), argv.data()).ok());
-    ExperimentConfig cfg;
-    EXPECT_FALSE(ApplyExperimentFlags(cli, &cfg).ok()) << bad;
+  ExpectRejected("--agg=median", "agg");
+  ExpectRejected("--agg=", "agg");
+  ExpectRejected("--compute_backend=fp8", "compute_backend");
+  ExpectRejected("--compute_backend=FP64", "compute_backend");
+  ExpectRejected("--wire_format=fp8", "wire_format");
+  ExperimentConfig cfg;
+  ASSERT_TRUE(
+      ApplyArgs({"--agg=weighted", "--compute_backend=fp32_simd"}, &cfg).ok());
+  EXPECT_EQ(cfg.aggregation, AggregationMode::kDataWeighted);
+  EXPECT_EQ(cfg.compute_backend, ComputeBackend::kFp32Simd);
+  EXPECT_EQ(cfg.wire_scalar_bytes, 4u);  // auto follows the backend
+}
+
+// The meta row's config object: the kResults rows, keyed by name.
+TEST(ConfigTest, ConfigJsonCarriesResultsFieldsOnly) {
+  const std::string json = ConfigJson(ExperimentConfig{});
+  for (const char* want :
+       {"{\"dataset\":\"ml\",\"data_scale\":0.10000000000000001,",
+        "\"base_model\":\"ncf\"", "\"dims\":[8,16,32]",
+        "\"group_fractions\":[5,3,2]", "\"aggregation\":\"mean\"",
+        "\"use_sparse_updates\":true", "\"seed\":7",
+        "\"compute_backend\":\"fp64\"}"}) {
+    EXPECT_NE(json.find(want), std::string::npos) << want << " in " << json;
+  }
+  for (const char* plumbing : {"num_threads", "metrics_out", "resume_run"}) {
+    EXPECT_EQ(json.find(plumbing), std::string::npos) << plumbing;
   }
 }
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "src/math/init.h"
 
@@ -200,44 +205,75 @@ TEST(RunStateTest, GarbageHeaderIsAnError) {
   EXPECT_FALSE(LoadRunState(path).ok());
 }
 
-TEST(RunStateTest, FingerprintCoversResultsAffectingKnobsOnly) {
-  ExperimentConfig a;
-  const uint64_t base = ConfigFingerprint(a, "hetefedrec");
-  EXPECT_EQ(base, ConfigFingerprint(a, "hetefedrec"));
-  EXPECT_NE(base, ConfigFingerprint(a, "all_small"));
+// Recorded before the fingerprint was generated from the field table: every
+// existing .run checkpoint depends on these staying put.
+TEST(RunStateTest, FingerprintTextIsStable) {
+  ExperimentConfig c;
+  const std::string method = MethodName(Method::kHeteFedRec);
+  EXPECT_EQ(ConfigFingerprint(c, method), 0xa6058556f3a4a40aULL);
+  c.async_mode = true;
+  c.fault_crash = 0.02;
+  c.dims = {4, 8, 16};
+  EXPECT_EQ(ConfigFingerprint(c, method), 0x9de9192b502c5556ULL);
+}
 
-  // Results-affecting knobs change the fingerprint...
-  ExperimentConfig b = a;
-  b.seed = 1234;
-  EXPECT_NE(base, ConfigFingerprint(b, "hetefedrec"));
-  b = a;
-  b.fault_corrupt = 0.01;
-  EXPECT_NE(base, ConfigFingerprint(b, "hetefedrec"));
-  b = a;
-  b.admission_control = true;
-  EXPECT_NE(base, ConfigFingerprint(b, "hetefedrec"));
+// Changes one member to another valid-looking value; doubles move by one
+// ulp, so the fingerprint must see their last bit.
+template <typename T>
+void Perturb(T* v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    *v = !*v;
+  } else if constexpr (std::is_enum_v<T>) {
+    *v = static_cast<T>(static_cast<int>(*v) + 1);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    *v = std::nextafter(*v, 1e300);
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    *v += 1;
+  } else {
+    *v += "x";
+  }
+}
 
-  // ...down to the last bit of a double, not its 6-digit rendering.
-  ExperimentConfig lr_a = a, lr_b = a;
-  lr_a.lr = 0.001;
-  lr_b.lr = 0.0010000001;
-  EXPECT_NE(ConfigFingerprint(lr_a, "hetefedrec"),
-            ConfigFingerprint(lr_b, "hetefedrec"));
-  ExperimentConfig scale_a = a, scale_b = a;
-  scale_a.data_scale = 0.1;
-  scale_b.data_scale = 0.10000001;
-  EXPECT_NE(ConfigFingerprint(scale_a, "hetefedrec"),
-            ConfigFingerprint(scale_b, "hetefedrec"));
+template <typename T, size_t N>
+void Perturb(std::array<T, N>* v) {
+  Perturb(&v->back());
+}
 
-  // ...while IO/perf plumbing does not: the same run can resume under a
-  // different thread count or checkpoint cadence.
-  b = a;
-  b.num_threads = 8;
-  b.checkpoint_path = "/tmp/elsewhere.ckpt";
-  b.checkpoint_every = 3;
-  b.resume_run = true;
-  b.debug_stop_after_rounds = 5;
-  EXPECT_EQ(base, ConfigFingerprint(b, "hetefedrec"));
+// Perturbing any kResults row changes the fingerprint; perturbing any
+// kPlumbing row does not, so a run may resume with those changed.
+TEST(RunStateTest, FingerprintCoversExactlyTheResultsRows) {
+  const ExperimentConfig base;
+  const uint64_t base_fp = ConfigFingerprint(base, "hetefedrec");
+  EXPECT_NE(base_fp, ConfigFingerprint(base, "all_small"));
+  std::vector<std::string> plumbing;
+  size_t rows = 0, results = 0;
+  ForEachConfigField(base, [&](const ConfigField&, const auto&) { ++rows; });
+  for (size_t k = 0; k < rows; ++k) {
+    ExperimentConfig c = base;
+    size_t i = 0;
+    FieldClass cls = FieldClass::kResults;
+    std::string name;
+    ForEachConfigField(c, [&](const ConfigField& f, auto& value) {
+      if (i++ != k) return;
+      Perturb(&value);
+      cls = f.cls;
+      name = f.name;
+    });
+    const uint64_t fp = ConfigFingerprint(c, "hetefedrec");
+    if (cls == FieldClass::kResults) {
+      ++results;
+      EXPECT_NE(fp, base_fp) << name;
+    } else {
+      plumbing.push_back(name);
+      EXPECT_EQ(fp, base_fp) << name;
+    }
+  }
+  EXPECT_EQ(results, 63u);
+  EXPECT_EQ(plumbing, (std::vector<std::string>{
+                          "num_threads", "sync_verify_replicas",
+                          "checkpoint_every", "checkpoint_path", "resume_run",
+                          "debug_stop_after_rounds", "metrics_out",
+                          "trace_out", "profile", "track_round_comm"}));
 }
 
 }  // namespace

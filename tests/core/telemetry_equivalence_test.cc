@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/run_state.h"
 #include "src/core/trainer.h"
 #include "src/math/backend.h"
 #include "tests/core/equivalence_test_util.h"
@@ -168,10 +169,20 @@ TEST(TelemetryEquivalence, MetricsStreamShapeAndMonotonicity) {
   const std::vector<std::string> lines = Lines(ReadFile(cfg.metrics_out));
   ASSERT_GT(lines.size(), 2u);
   EXPECT_NE(lines[0].find("\"type\":\"meta\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"version\":1"), std::string::npos);
-  // The meta row names the numeric backend and the fp64 kernel tier.
+  EXPECT_NE(lines[0].find("\"version\":2"), std::string::npos);
+  // The meta row carries the resume fingerprint, the results config (with
+  // the numeric backend, and no plumbing field) and the fp64 kernel tier.
+  char fingerprint[40];
+  std::snprintf(fingerprint, sizeof(fingerprint),
+                "\"fingerprint\":\"%016llx\"",
+                static_cast<unsigned long long>(ConfigFingerprint(
+                    cfg, MethodName(Method::kHeteFedRec))));
+  EXPECT_NE(lines[0].find(fingerprint), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("\"config\":{\"dataset\":\"ml\""),
+            std::string::npos);
   EXPECT_NE(lines[0].find("\"compute_backend\":\"fp64\""),
             std::string::npos);
+  EXPECT_EQ(lines[0].find("\"metrics_out\""), std::string::npos);
   EXPECT_NE(lines[0].find(std::string("\"fp64_kernels\":\"") +
                           Fp64KernelTier() + "\""),
             std::string::npos);

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "src/core/config.h"
+
 namespace hetefedrec {
 namespace {
 

@@ -30,7 +30,6 @@ int Main(int argc, char** argv) {
   cli.AddFlag("clients_per_round", "64", "round size");
   cli.AddFlag("lr", "0.001", "Adam learning rate");
   cli.AddFlag("alpha", "1.0", "DDR weight");
-  cli.AddFlag("agg", "mean", "mean | sum | weighted");
   cli.AddFlag("udl", "true", "unified dual-task learning");
   cli.AddFlag("ddr", "true", "decorrelation regularization");
   cli.AddFlag("reskd", "true", "relation-based ensemble distillation");
@@ -40,7 +39,7 @@ int Main(int argc, char** argv) {
   cli.AddFlag("checkpoint", "", "write final server parameters here");
   // Everything an experiment run shares with the bench suite — execution
   // toggles, sync, network, async, faults, sharding, telemetry — comes from
-  // the shared registry (src/util/cli.h) so the two flag sets cannot drift.
+  // the config field table (src/core/config_fields.def).
   RegisterExperimentFlags(&cli);
 
   Status st = cli.Parse(argc, argv);

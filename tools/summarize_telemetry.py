@@ -7,14 +7,15 @@ Usage:
   tools/summarize_telemetry.py --check run.jsonl [--trace run_trace.json]
                                                        validate only (CI)
 
-Validates the JSONL metrics stream (schema version, row types, monotone
-round index and virtual clock) and the Chrome trace file (parseable JSON,
-traceEvents present, ts non-decreasing in file order for non-metadata
-events), then renders round / eval / phase-profile tables.
+Validates the JSONL metrics stream (meta row and schema version, row types,
+monotone round index and virtual clock) and the Chrome trace file
+(parseable JSON, traceEvents present, ts non-decreasing in file order for
+non-metadata events), then renders round / eval / phase-profile tables.
 """
 
 import argparse
 import json
+import re
 import sys
 
 ROW_TYPES = {"meta", "round", "eval", "summary", "profile"}
@@ -49,8 +50,13 @@ def load_metrics(path):
 def check_metrics(path, rows):
     if rows[0]["type"] != "meta":
         fail(f"{path}: first row must be type=meta, got {rows[0]['type']}")
-    if rows[0].get("version") != 1:
-        fail(f"{path}: unsupported schema version {rows[0].get('version')}")
+    meta = rows[0]  # version 1: the streaming loop; 2: federated runs
+    if meta.get("version") not in (1, 2):
+        fail(f"{path}: unsupported schema version {meta.get('version')}")
+    if meta["version"] == 2 and not (
+            re.fullmatch(r"[0-9a-f]{16}", str(meta.get("fingerprint")))
+            and isinstance(meta.get("config"), dict)):
+        fail(f"{path}: meta v2 needs a 16-hex-digit fingerprint and a config")
     prev_round, prev_clock = 0, -1.0
     summaries = 0
     for row in rows:
@@ -125,11 +131,16 @@ def table(title, headers, rows):
 
 def render(rows):
     meta = rows[0]
-    print(f"run: method={meta.get('method')} dataset={meta.get('dataset')} "
-          f"seed={meta.get('seed')} async={meta.get('async')} "
-          f"epochs={meta.get('epochs')}")
+    cfg = meta.get("config", {})  # version 1 has a few fields on the row
+    print(f"run: method={meta.get('method')} "
+          f"dataset={cfg.get('dataset', meta.get('dataset'))} "
+          f"seed={cfg.get('seed', meta.get('seed'))} "
+          f"async={cfg.get('async_mode', meta.get('async'))} "
+          f"epochs={cfg.get('global_epochs', meta.get('epochs'))} "
+          f"fingerprint={meta.get('fingerprint', '-')}")
     # Streams written before these fields existed print "-".
-    print(f"compute: backend={meta.get('compute_backend', '-')} "
+    backend = cfg.get("compute_backend", meta.get("compute_backend", "-"))
+    print(f"compute: backend={backend} "
           f"fp64_kernels={meta.get('fp64_kernels', '-')}")
 
     rounds = [r for r in rows if r["type"] == "round"]
