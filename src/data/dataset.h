@@ -7,7 +7,6 @@
 #ifndef HETEFEDREC_DATA_DATASET_H_
 #define HETEFEDREC_DATA_DATASET_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "src/data/types.h"
@@ -90,10 +89,11 @@ class Dataset {
   int negatives_per_positive_ = 4;
   std::vector<std::vector<ItemId>> train_;
   std::vector<std::vector<ItemId>> test_;
-  // hfr-lint: iteration-order-safe(membership tests only - insert/count, never walked; split order comes from the per_user vectors)
-  std::vector<std::unordered_set<ItemId>> seen_;       // train ∪ test
-  // hfr-lint: iteration-order-safe(membership tests only - negative-sample rejection via count, never walked)
-  std::vector<std::unordered_set<ItemId>> train_set_;  // train only
+  // Membership index in CSR form: user u's train items, sorted, then its
+  // test items, sorted, at sorted_[offsets_[u], offsets_[u + 1]). The train
+  // half is train_[u].size() long.
+  std::vector<size_t> offsets_;
+  std::vector<ItemId> sorted_;
 };
 
 }  // namespace hetefedrec
