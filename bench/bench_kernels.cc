@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -582,6 +583,11 @@ void BM_ShardedRound(benchmark::State& state) {
   scfg.num_items = so.num_items;
   scfg.max_items_per_user = 64;
   scfg.seed = 7;
+  const Status valid = scfg.Validate();
+  if (!valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    std::exit(1);
+  }
   const ClientStream stream(scfg);
 
   StreamLoopOptions opt;

@@ -2,21 +2,42 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "src/util/logging.h"
 
 namespace hetefedrec {
 
-ClientStream::ClientStream(const StreamConfig& config)
-    : config_(config), root_(config.seed) {
-  HFR_CHECK_GT(config_.num_users, 0u);
-  HFR_CHECK_GT(config_.num_items, 0u);
-  HFR_CHECK_GT(config_.size_exponent, 0.0);
-  HFR_CHECK_GT(config_.min_items_per_user, 0u);
-  HFR_CHECK_GE(config_.max_items_per_user, config_.min_items_per_user);
+Status StreamConfig::Validate() const {
+  if (num_users == 0) return Status::InvalidArgument("num_users must be > 0");
+  if (num_items == 0) return Status::InvalidArgument("num_items must be > 0");
+  if (!(size_exponent > 0.0)) {
+    return Status::InvalidArgument("size_exponent must be > 0");
+  }
+  if (min_items_per_user == 0) {
+    return Status::InvalidArgument("min_items_per_user must be > 0");
+  }
+  if (max_items_per_user < min_items_per_user) {
+    return Status::InvalidArgument(
+        "max_items_per_user (" + std::to_string(max_items_per_user) +
+        ") is below min_items_per_user (" +
+        std::to_string(min_items_per_user) + ")");
+  }
   // A user draws at most max_items_per_user *distinct* items; rejection
   // sampling needs the catalogue to be comfortably larger than the draw.
-  HFR_CHECK_LE(config_.max_items_per_user * 2, config_.num_items);
+  if (max_items_per_user > num_items / 2) {
+    return Status::InvalidArgument(
+        "num_items (" + std::to_string(num_items) +
+        ") must be at least twice max_items_per_user (" +
+        std::to_string(max_items_per_user) + ")");
+  }
+  return Status::OK();
+}
+
+ClientStream::ClientStream(const StreamConfig& config)
+    : config_(config), root_(config.seed) {
+  const Status valid = config_.Validate();
+  HFR_CHECK(valid.ok()) << valid.message();
 
   pop_cdf_.resize(config_.num_items);
   double total = 0.0;

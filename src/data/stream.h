@@ -31,6 +31,7 @@
 
 #include "src/data/types.h"
 #include "src/util/rng.h"
+#include "src/util/status.h"
 
 namespace hetefedrec {
 
@@ -46,6 +47,12 @@ struct StreamConfig {
   size_t min_items_per_user = 4;
   size_t max_items_per_user = 256;
   uint64_t seed = 1;
+
+  /// OK when the generator can satisfy the config, else InvalidArgument
+  /// naming the field at fault. `ClientStream` CHECK-fails on a config
+  /// this rejects, so callers holding untrusted values (flags) call it
+  /// first.
+  Status Validate() const;
 };
 
 /// \brief One generated client: its distinct interacted items, ascending.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/util/rss.h"
@@ -54,6 +55,39 @@ TEST(ClientStreamTest, SameSeedPassesAreByteIdentical) {
     EXPECT_EQ(first.items, again.items) << "user " << u;
     EXPECT_EQ(first.items, other.items) << "user " << u;
   }
+}
+
+TEST(ClientStreamTest, ValidateNamesTheUnsatisfiableField) {
+  EXPECT_TRUE(SmallConfig().Validate().ok());
+  const auto rejects = [](auto mutate, const std::string& field) {
+    StreamConfig cfg = SmallConfig();
+    mutate(&cfg);
+    const Status st = cfg.Validate();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(st.message().find(field), std::string::npos) << st.message();
+  };
+  rejects([](StreamConfig* c) { c->num_users = 0; }, "num_users");
+  rejects([](StreamConfig* c) { c->num_items = 0; }, "num_items");
+  rejects([](StreamConfig* c) { c->size_exponent = 0.0; }, "size_exponent");
+  rejects([](StreamConfig* c) { c->size_exponent = std::nan(""); },
+          "size_exponent");
+  rejects([](StreamConfig* c) { c->min_items_per_user = 0; },
+          "min_items_per_user");
+  rejects([](StreamConfig* c) { c->max_items_per_user = 3; },
+          "max_items_per_user");
+  // bench_sharding --users=2000 --items=500: the default 256-item cap
+  // needs a catalogue of at least 512.
+  rejects(
+      [](StreamConfig* c) {
+        c->num_items = 500;
+        c->max_items_per_user = 256;
+      },
+      "num_items");
+  StreamConfig edge = SmallConfig();
+  edge.num_items = 2 * edge.max_items_per_user;
+  EXPECT_TRUE(edge.Validate().ok());
+  edge.num_items -= 1;
+  EXPECT_FALSE(edge.Validate().ok());
 }
 
 TEST(ClientStreamTest, DifferentSeedProducesDifferentClients) {
