@@ -48,24 +48,31 @@ int Main(int argc, char** argv) {
   if (!st.ok()) return FailWith(st);
 
   StreamConfig scfg;
-  scfg.num_users = cli.GetUint64("users");
-  scfg.num_items = cli.GetUint64("items");
-  scfg.popularity_exponent = cli.GetDouble("pop_exponent");
-  scfg.size_exponent = cli.GetDouble("size_exponent");
-  scfg.seed = cli.GetUint64("seed");
+  StreamLoopOptions lopts;
+  size_t width = 0;
+  uint64_t seed = 0;
+  uint64_t max_rss_mb = 0;
+  for (const Status& flag :
+       {cli.Get("users", &scfg.num_users), cli.Get("items", &scfg.num_items),
+        cli.Get("pop_exponent", &scfg.popularity_exponent),
+        cli.Get("size_exponent", &scfg.size_exponent),
+        cli.Get("width", &width),
+        cli.Get("clients_per_round", &lopts.clients_per_round),
+        cli.Get("rounds", &lopts.rounds), cli.Get("lr", &lopts.lr),
+        cli.Get("seed", &seed), cli.Get("max_rss_mb", &max_rss_mb)}) {
+    if (!flag.ok()) return FailWith(flag);
+  }
+  scfg.seed = seed;
+  st = scfg.Validate();
+  if (!st.ok()) return FailWith(st);
   const ClientStream stream(scfg);
 
   HeteroServer::Options sopts;
-  sopts.widths = {static_cast<size_t>(cli.GetUint64("width"))};
+  sopts.widths = {width};
   sopts.num_items = scfg.num_items;
   sopts.aggregation = AggregationMode::kMean;
-  sopts.seed = cli.GetUint64("seed") + 1;
-
-  StreamLoopOptions lopts;
-  lopts.clients_per_round = cli.GetUint64("clients_per_round");
-  lopts.rounds = cli.GetUint64("rounds");
-  lopts.lr = cli.GetDouble("lr");
-  lopts.seed = cli.GetUint64("seed") + 2;
+  sopts.seed = seed + 1;
+  lopts.seed = seed + 2;
 
   TablePrinter table(
       "Sharded server under the streaming power-law workload (width " +
@@ -77,7 +84,7 @@ int Main(int argc, char** argv) {
       {"Shards", "Rounds", "Clients", "Rounds/s", "MB/round", "Shard skew",
        "Peak RSS MB", "vs S=1"});
 
-  const size_t max_rss_kb = cli.GetUint64("max_rss_mb") * 1024;
+  const size_t max_rss_kb = max_rss_mb * 1024;
   std::vector<Matrix> s1_tables;
   bool all_identical = true;
   bool rss_ok = true;
@@ -141,7 +148,7 @@ int Main(int argc, char** argv) {
       "acceptance: %s clients streamed per shard count, bounded RSS "
       "(< %llu MB): %s; S>1 tables bit-identical to S=1: %s\n",
       TablePrinter::Count(static_cast<long long>(scfg.num_users)).c_str(),
-      static_cast<unsigned long long>(cli.GetUint64("max_rss_mb")),
+      static_cast<unsigned long long>(max_rss_mb),
       rss_ok ? "PASS" : "FAIL", all_identical ? "PASS" : "FAIL");
   return rss_ok && all_identical ? 0 : 1;
 }

@@ -51,7 +51,8 @@ StatusOr<ExperimentConfig> ConfigFromFlags(const CommandLine& cli) {
   Status applied = ApplyExperimentFlags(cli, &cfg);
   if (!applied.ok()) return applied;
 
-  int epochs = cli.GetInt("epochs");
+  int epochs = 0;
+  HFR_RETURN_NOT_OK(cli.Get("epochs", &epochs));
   if (epochs > 0) cfg.global_epochs = epochs;
   return cfg;
 }

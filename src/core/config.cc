@@ -1,7 +1,6 @@
 #include "src/core/config.h"
 
 #include <charconv>
-#include <cmath>
 #include <type_traits>
 #include <utility>
 
@@ -25,7 +24,9 @@ StatusOr<AggregationMode> AggregationModeByName(const std::string& name) {
 
 // --- per-type codecs: flag text <-> field value ---------------------------
 // Text() renders a value the way ParseText() reads it back; the shared
-// flags' defaults, and every JSON string in the meta row, are Text().
+// flags' defaults, and every JSON string in the meta row, are Text(). The
+// enum codecs are here; numbers, bools, strings and arrays use the shared
+// ones in src/util/cli.h.
 
 std::string Text(AggregationMode m) {
   return kAggregationNames[static_cast<int>(m)];
@@ -68,53 +69,6 @@ Status ParseText(const std::string& text, ComputeBackend* out) {
 }
 Status ParseText(const std::string& text, BaseModel* out) {
   return Assign(BaseModelByName(text), out);
-}
-
-template <typename T>
-Status ParseText(const std::string& text, T* out) {
-  if constexpr (std::is_same_v<T, bool>) {
-    const bool on = text == "true" || text == "1" || text == "yes";
-    if (!on && text != "false" && text != "0" && text != "no") {
-      return Status::InvalidArgument("expected true|false|1|0|yes|no");
-    }
-    *out = on;
-    return Status::OK();
-  } else if constexpr (std::is_arithmetic_v<T>) {
-    // from_chars takes no sign on unsigned types, no '+', no whitespace
-    // and no trailing junk, and reports overflow.
-    const char* end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-    if (ec == std::errc::result_out_of_range) {
-      return Status::InvalidArgument("out of range");
-    }
-    if (ec != std::errc() || ptr != end) {
-      return Status::InvalidArgument(
-          std::is_floating_point_v<T> ? "expected a number"
-          : std::is_unsigned_v<T>     ? "expected an unsigned integer"
-                                      : "expected an integer");
-    }
-    if constexpr (std::is_floating_point_v<T>) {
-      if (!std::isfinite(*out)) return Status::InvalidArgument("not finite");
-    }
-    return Status::OK();
-  } else {
-    *out = text;
-    return Status::OK();
-  }
-}
-
-template <typename T, size_t N>
-Status ParseText(const std::string& text, std::array<T, N>* out) {
-  size_t begin = 0;
-  for (size_t i = 0; i < N; ++i) {
-    const size_t end = i + 1 < N ? text.find(',', begin) : text.size();
-    if (end == std::string::npos) {
-      return Status::InvalidArgument("too few comma-separated values");
-    }
-    HFR_RETURN_NOT_OK(ParseText(text.substr(begin, end - begin), &(*out)[i]));
-    begin = end + 1;
-  }
-  return Status::OK();
 }
 
 // A "!" flag sets the negation of its bool field.

@@ -53,6 +53,15 @@ TEST(BenchCommonTest, EpochOverrideApplies) {
   EXPECT_EQ(cfg->global_epochs, 5);
 }
 
+TEST(BenchCommonTest, EpochOverrideParsesStrictly) {
+  for (const char* bad : {"--epochs=abc", "--epochs=5x", "--epochs="}) {
+    const auto cfg = ConfigFromFlags(ParsedCli({bad}));
+    ASSERT_FALSE(cfg.ok()) << bad;
+    EXPECT_NE(cfg.status().message().find("--epochs="), std::string::npos)
+        << cfg.status().message();
+  }
+}
+
 TEST(BenchCommonTest, AggregationFlagParsing) {
   EXPECT_EQ(ConfigFromFlags(ParsedCli({"--agg=sum"}))->aggregation,
             AggregationMode::kSum);

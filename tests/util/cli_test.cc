@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <vector>
 
 #include "src/core/config.h"
@@ -53,6 +55,48 @@ TEST(CliTest, BareBooleanFlag) {
   ArgvBuilder args({"prog", "--verbose"});
   ASSERT_TRUE(cli.Parse(args.argc(), args.argv()).ok());
   EXPECT_TRUE(cli.GetBool("verbose"));
+}
+
+TEST(CliTest, StrictGetParsesValuesAndNamesTheBadFlag) {
+  CommandLine cli;
+  cli.AddFlag("eval_users", "300", "evaluation users");
+  cli.AddFlag("data_scale", "0.06", "dataset scale");
+  cli.AddFlag("epochs", "18", "global epochs");
+  cli.AddFlag("dims", "8,16,32", "widths");
+  cli.AddFlag("udl", "true", "dual-task learning");
+  ArgvBuilder good({"prog", "--data_scale=0.02", "--epochs=-1", "--udl=no"});
+  ASSERT_TRUE(cli.Parse(good.argc(), good.argv()).ok());
+  size_t users = 0;
+  double scale = 0.0;
+  int epochs = 0;
+  std::array<size_t, 3> dims{};
+  bool udl = true;
+  ASSERT_TRUE(cli.Get("eval_users", &users).ok());
+  ASSERT_TRUE(cli.Get("data_scale", &scale).ok());
+  ASSERT_TRUE(cli.Get("epochs", &epochs).ok());
+  ASSERT_TRUE(cli.Get("dims", &dims).ok());
+  ASSERT_TRUE(cli.Get("udl", &udl).ok());
+  EXPECT_EQ(users, 300u);
+  EXPECT_EQ(scale, 0.02);
+  EXPECT_EQ(epochs, -1);
+  EXPECT_EQ(dims, (std::array<size_t, 3>{8, 16, 32}));
+  EXPECT_FALSE(udl);
+
+  ArgvBuilder bad({"prog", "--eval_users=abc", "--data_scale=0.02x",
+                   "--epochs=2.5", "--dims=8,16", "--udl=maybe"});
+  ASSERT_TRUE(cli.Parse(bad.argc(), bad.argv()).ok());
+  const auto rejected = [&](const std::string& name, auto* out) {
+    const auto before = *out;
+    const Status st = cli.Get(name, out);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_EQ(st.message().rfind("--" + name + "='", 0), 0u) << st.message();
+    EXPECT_EQ(*out, before) << name << " was written on failure";
+  };
+  rejected("eval_users", &users);
+  rejected("data_scale", &scale);
+  rejected("epochs", &epochs);
+  rejected("dims", &dims);
+  rejected("udl", &udl);
 }
 
 TEST(CliTest, UnknownFlagRejected) {

@@ -49,44 +49,30 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  auto parse_triple = [](const std::string& s, double out[3]) {
-    return std::sscanf(s.c_str(), "%lf,%lf,%lf", &out[0], &out[1],
-                       &out[2]) == 3;
-  };
-
+  // The tool's own flags parse as strictly as the shared ones: a bad value
+  // exits 1 with an InvalidArgument that names the flag.
   ExperimentConfig cfg;
-  cfg.dataset = cli.GetString("dataset");
-  cfg.data_scale = cli.GetDouble("data_scale");
-  cfg.global_epochs = cli.GetInt("epochs");
-  cfg.local_epochs = cli.GetInt("local_epochs");
-  cfg.clients_per_round = static_cast<size_t>(cli.GetInt("clients_per_round"));
-  cfg.lr = cli.GetDouble("lr");
-  cfg.alpha = cli.GetDouble("alpha");
-  cfg.unified_dual_task = cli.GetBool("udl");
-  cfg.decorrelation = cli.GetBool("ddr");
-  cfg.ensemble_distillation = cli.GetBool("reskd");
-  cfg.local_validation_fraction = cli.GetDouble("validation");
-  cfg.eval_every = cli.GetInt("eval_every");
-  cfg.eval_user_sample = static_cast<size_t>(cli.GetInt("eval_users"));
-  cfg.checkpoint_path = cli.GetString("checkpoint");
-  st = ApplyExperimentFlags(cli, &cfg);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
+  for (const Status& flag :
+       {cli.Get("dataset", &cfg.dataset),
+        cli.Get("checkpoint", &cfg.checkpoint_path),
+        cli.Get("data_scale", &cfg.data_scale),
+        cli.Get("epochs", &cfg.global_epochs),
+        cli.Get("local_epochs", &cfg.local_epochs),
+        cli.Get("clients_per_round", &cfg.clients_per_round),
+        cli.Get("lr", &cfg.lr), cli.Get("alpha", &cfg.alpha),
+        cli.Get("udl", &cfg.unified_dual_task),
+        cli.Get("ddr", &cfg.decorrelation),
+        cli.Get("reskd", &cfg.ensemble_distillation),
+        cli.Get("validation", &cfg.local_validation_fraction),
+        cli.Get("eval_every", &cfg.eval_every),
+        cli.Get("eval_users", &cfg.eval_user_sample),
+        cli.Get("dims", &cfg.dims), cli.Get("fractions", &cfg.group_fractions),
+        ApplyExperimentFlags(cli, &cfg)}) {
+    if (!flag.ok()) {
+      std::fprintf(stderr, "%s\n", flag.ToString().c_str());
+      return 1;
+    }
   }
-
-  double triple[3];
-  if (!parse_triple(cli.GetString("dims"), triple)) {
-    std::fprintf(stderr, "bad --dims (expected Ns,Nm,Nl)\n");
-    return 1;
-  }
-  cfg.dims = {static_cast<size_t>(triple[0]), static_cast<size_t>(triple[1]),
-              static_cast<size_t>(triple[2])};
-  if (!parse_triple(cli.GetString("fractions"), triple)) {
-    std::fprintf(stderr, "bad --fractions (expected fs,fm,fl)\n");
-    return 1;
-  }
-  cfg.group_fractions = {triple[0], triple[1], triple[2]};
 
   auto model = BaseModelByName(cli.GetString("model"));
   if (!model.ok()) {
